@@ -174,6 +174,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/dns-server/src/stub.rs",
     "crates/dns-server/src/plugins.rs",
     "crates/dns-server/src/engine.rs",
+    "crates/dns-server/src/resolver.rs",
     "crates/netsim/src/network.rs",
     // The timing wheel carries every event of every simulation; a panic
     // or stray index here is a panic in all of them.
@@ -267,6 +268,7 @@ mod tests {
         }
         for f in [
             "crates/dns-server/src/engine.rs",
+            "crates/dns-server/src/resolver.rs",
             "crates/mecdnsd/src/serve.rs",
             "crates/netsim/src/sched.rs",
             "crates/netsim/src/catchment.rs",

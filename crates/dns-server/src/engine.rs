@@ -1,28 +1,19 @@
-//! A synchronous, transport-facing resolution engine.
-//!
-//! [`crate::server::DnsServer`] runs the plugin chain as a simulator
-//! node: forwards become virtual datagrams, timeouts become virtual
-//! timers. A real UDP server (the `mecdnsd` binary) needs the same
-//! chain behind a plain function call instead: bytes in, a [`Message`]
-//! out, no event loop. [`ServeEngine`] is that call. The paper's MEC
-//! deployment co-locates the L-DNS and the C-DNS on one box, so the
-//! "upstream" a front-chain [`PluginDecision::Forward`] names is served
-//! by another in-process chain — no sockets, no retries, and cache
-//! fills flow through the front chain's [`Plugin::on_response`] exactly
-//! as they would for a wire response.
-//!
-//! The engine is on the resolution hot path (`hot-panic` / `hot-index`
-//! apply): a malformed or hostile query must never panic the serving
-//! thread.
+//! The loopback driver of the [`Resolver`] core, for real transports
+//! (`mecdnsd`): the upstreams the front core forwards to are in-process
+//! cores too, and each [`Action::Upstream`] is answered synchronously by
+//! the backend at that address. Silence (no backend, an ignored query,
+//! a hop nested past `MAX_FORWARD_HOPS`) times out at once. Backends see
+//! the client's address and transaction id. Hot path: no query may panic
+//! a shard.
 
-use crate::plugin::{Plugin, PluginDecision, QueryCtx};
-use dns_wire::{Message, Opt, Rcode};
+use crate::plugin::Plugin;
+use crate::resolver::{Action, Resolver, ServerConfig};
+use dns_wire::{Message, Rcode};
 use netsim::{SimTime, Telemetry};
 use std::net::IpAddr;
 
-/// Hops a query may take between in-process backends before the engine
-/// declares a forwarding loop. Real deployments here are one hop
-/// (L-DNS → C-DNS); the budget only guards against mis-wired configs.
+/// Backend hops one query may nest before the next counts as silent.
+/// Deployments here take one (L-DNS → C-DNS); this guards mis-wiring.
 const MAX_FORWARD_HOPS: usize = 4;
 
 /// Responses tallied by rcode — the numbers behind the `--stats` line.
@@ -66,67 +57,66 @@ impl RcodeCounts {
     }
 }
 
-/// The plugin chains of one serving process: a front chain that faces
-/// clients, plus backend chains addressable by the IPs front-chain
-/// plugins forward to.
+/// The resolver cores of one serving process: a front core that faces
+/// clients, plus backend cores addressable by the IPs it forwards to.
 pub struct ServeEngine {
-    front: Vec<Box<dyn Plugin>>,
-    /// In-process "upstreams", looked up linearly — deployments here
-    /// have one or two. Ordered, so behaviour never depends on map
-    /// iteration order.
-    backends: Vec<(IpAddr, Vec<Box<dyn Plugin>>)>,
-    telemetry: Telemetry,
+    /// The front core (no address) first, then the in-process
+    /// "upstreams", found by a linear scan (deployments have one or two).
+    cores: Vec<(Option<IpAddr>, Resolver<()>)>,
+    /// Outboxes reused across calls, one per nesting level.
+    outboxes: Vec<Vec<Action<()>>>,
     /// Responses tallied by rcode.
     pub rcodes: RcodeCounts,
     /// Queries accepted into the chain.
     pub queries: u64,
-    /// Queries dropped by a [`PluginDecision::Ignore`].
+    /// Queries dropped by a [`crate::PluginDecision::Ignore`].
     pub ignored: u64,
+    /// Responses (QR=1) offered as queries, dropped unanswered.
+    pub dropped: u64,
 }
 
 impl ServeEngine {
     /// An engine with the given client-facing chain and no backends.
     pub fn new(front: Vec<Box<dyn Plugin>>) -> Self {
         ServeEngine {
-            front,
-            backends: Vec::new(),
-            telemetry: Telemetry::default(),
+            cores: vec![(None, Resolver::new(ServerConfig::default(), front))],
+            outboxes: Vec::new(),
             rcodes: RcodeCounts::default(),
             queries: 0,
             ignored: 0,
+            dropped: 0,
         }
     }
 
-    /// Registers the chain that answers forwards addressed to `addr`.
-    /// Builder-style; a later chain on the same address replaces the
-    /// earlier one.
+    /// Registers the chain that answers forwards addressed to `addr`,
+    /// replacing any earlier one there (builder-style).
     pub fn with_backend(mut self, addr: IpAddr, chain: Vec<Box<dyn Plugin>>) -> Self {
-        if let Some(slot) = self.backends.iter_mut().find(|(ip, _)| *ip == addr) {
-            slot.1 = chain;
-        } else {
-            self.backends.push((addr, chain));
+        let mut core = Resolver::new(ServerConfig::default(), chain);
+        if let Some((_, front)) = self.cores.first() {
+            core.telemetry = front.telemetry.clone();
         }
+        self.cores.retain(|(ip, _)| *ip != Some(addr));
+        self.cores.push((Some(addr), core));
         self
     }
 
     /// Routes the engine's counters into `t` (per-shard registries are
     /// merged at shutdown).
     pub fn with_telemetry(mut self, t: Telemetry) -> Self {
-        self.telemetry = t;
+        for (_, core) in &mut self.cores {
+            core.telemetry = t.clone();
+        }
         self
     }
 
-    /// Immutable access to a front-chain plugin by index, downcast to
-    /// its concrete type (test assertions on plugin-internal counters).
+    /// A front-chain plugin by index, downcast to its concrete type.
     pub fn front_plugin<P: Plugin + 'static>(&self, index: usize) -> Option<&P> {
-        let p: &dyn Plugin = self.front.get(index)?.as_ref();
-        (p as &dyn std::any::Any).downcast_ref::<P>()
+        self.cores.first()?.1.plugin(index)
     }
 
-    /// Resolves one client query to the response that should go back on
-    /// the wire, or `None` when a plugin chose to ignore it. `now` is
-    /// whatever clock the transport runs on — virtual in tests, a
-    /// wall-clock anchor in `mecdnsd` — and only feeds TTL bookkeeping.
+    /// Resolves one client query to the response for the wire, or `None`
+    /// (ignored, or a response). `now` is the transport's clock (virtual
+    /// in tests, a wall-clock anchor in `mecdnsd`); it feeds TTLs only.
     pub fn resolve(
         &mut self,
         now: SimTime,
@@ -134,128 +124,78 @@ impl ServeEngine {
         client_port: u16,
         query: &Message,
     ) -> Option<Message> {
-        self.queries += 1;
-        self.telemetry.incr("serve.query");
-        let ctx = QueryCtx {
-            now,
-            client,
-            client_port,
-            telemetry: self.telemetry.clone(),
-        };
-        let mut decision = PluginDecision::Continue;
-        for p in &mut self.front {
-            decision = p.on_query(&ctx, query);
-            if !matches!(decision, PluginDecision::Continue) {
-                break;
-            }
-        }
-        let mut response = match decision {
-            PluginDecision::Respond(mut resp) => {
-                resp.header.id = query.header.id;
-                resp
-            }
-            PluginDecision::Forward { upstream } => self.forward(&ctx, query, upstream),
-            PluginDecision::Recurse { .. } => {
-                // Iterative recursion needs upstream sockets this
-                // in-process engine does not own; the transport layer
-                // would have to provide them. Until it does: SERVFAIL,
-                // never silence.
-                Message::response_to(query).with_rcode(Rcode::ServFail)
-            }
-            PluginDecision::Ignore => {
-                self.ignored += 1;
-                self.telemetry.incr("serve.ignore");
-                return None;
-            }
-            PluginDecision::Continue => {
-                // Off the end of the chain: refuse, like the simulator.
-                Message::response_to(query).with_rcode(Rcode::Refused)
-            }
-        };
-        // Echo the client's ECS option if the response does not already
-        // scope itself (RFC 7871 §7.2.2).
-        if response.edns.as_ref().and_then(|o| o.client_subnet()).is_none() {
-            if let Some(cs) = query.client_subnet() {
-                response.edns = Some(Opt::with_client_subnet(*cs));
-            }
-        }
+        let answer = self.exchange(now, 0, (client, client_port), query, 0);
+        let front = &self.cores.first()?.1;
+        self.queries = front.queries;
+        self.ignored = front.ignored;
+        self.dropped = front.dropped;
+        let response = answer?;
         self.rcodes.count(response.header.rcode);
-        self.telemetry.incr("serve.response");
         Some(response)
     }
 
-    /// Dispatches a forward to the in-process backend chain at
-    /// `upstream`, following chained forwards up to the hop budget. The
-    /// backend's answer is shown to the front chain's `on_response`
-    /// (cache fill) before it is returned.
-    fn forward(&mut self, ctx: &QueryCtx, query: &Message, mut upstream: IpAddr) -> Message {
-        for _ in 0..MAX_FORWARD_HOPS {
-            let Some(chain) = self
-                .backends
-                .iter_mut()
-                .find(|(ip, _)| *ip == upstream)
-                .map(|(_, c)| c)
-            else {
-                // Nothing answers at that address: the upstream is dead
-                // as far as this process is concerned. Tell the front
-                // chain (health trackers) and fail the query.
-                self.telemetry.incr("serve.upstream.unreachable");
-                for p in &mut self.front {
-                    p.on_upstream_event(ctx.now, upstream, false);
-                }
-                return Message::response_to(query).with_rcode(Rcode::ServFail);
-            };
-            let mut decision = PluginDecision::Continue;
-            for p in chain.iter_mut() {
-                decision = p.on_query(ctx, query);
-                if !matches!(decision, PluginDecision::Continue) {
-                    break;
-                }
-            }
-            let mut resp = match decision {
-                PluginDecision::Respond(resp) => resp,
-                PluginDecision::Forward { upstream: next } => {
-                    upstream = next;
+    /// Runs `query` through core `i` and pumps its actions until that
+    /// core answers (`Some`) or stays silent (`None`).
+    fn exchange(
+        &mut self,
+        now: SimTime,
+        i: usize,
+        client: (IpAddr, u16),
+        query: &Message,
+        depth: usize,
+    ) -> Option<Message> {
+        let (_, core) = self.cores.get_mut(i)?;
+        if !core.admit(query) {
+            return None;
+        }
+        let mut out = self.outboxes.pop().unwrap_or_default();
+        core.on_query(now, client, (), query, &mut out);
+        let mut answer = None;
+        while let Some(action) = out.pop() {
+            let (upstream, mut up, timer) = match action {
+                Action::Reply((), response) => {
+                    answer = Some(response);
                     continue;
                 }
-                PluginDecision::Ignore => {
-                    // The backend dropped the query: to the front chain
-                    // that is indistinguishable from a dead upstream.
-                    self.telemetry.incr("serve.upstream.silent");
-                    for p in &mut self.front {
-                        p.on_upstream_event(ctx.now, upstream, false);
-                    }
-                    return Message::response_to(query).with_rcode(Rcode::ServFail);
-                }
-                PluginDecision::Recurse { .. } => {
-                    Message::response_to(query).with_rcode(Rcode::ServFail)
-                }
-                PluginDecision::Continue => {
-                    Message::response_to(query).with_rcode(Rcode::Refused)
-                }
+                Action::Upstream {
+                    upstream,
+                    query,
+                    timer,
+                    ..
+                } => (upstream, query, timer),
             };
-            resp.header.id = query.header.id;
-            resp.questions = query.questions.clone();
-            self.telemetry.incr("serve.upstream.answer");
-            for p in &mut self.front {
-                p.on_upstream_event(ctx.now, upstream, true);
+            // The hop runs under the client's transaction id, so every
+            // breadcrumb of one query lands in one trace; the reply gets
+            // the upstream id back.
+            let upstream_id = std::mem::replace(&mut up.header.id, query.header.id);
+            let backend = self.cores.iter().position(|(ip, _)| *ip == Some(upstream));
+            let reply = match backend {
+                Some(j) if depth < MAX_FORWARD_HOPS => {
+                    self.exchange(now, j, client, &up, depth + 1)
+                }
+                _ => None, // nothing there, or past the hop guard: silence
+            };
+            let Some((_, core)) = self.cores.get_mut(i) else {
+                break;
+            };
+            if let Some(mut reply) = reply {
+                reply.header.id = upstream_id;
+                core.on_reply(now, reply, &mut out);
             }
-            for p in &mut self.front {
-                p.on_response(ctx, &mut resp);
+            // Silence, or a reply the core could not match.
+            if out.is_empty() {
+                core.on_timeout(now, timer, &mut out);
             }
-            return resp;
         }
-        // Hop budget exhausted: a forwarding loop among the backends.
-        self.telemetry.incr("serve.upstream.loop");
-        Message::response_to(query).with_rcode(Rcode::ServFail)
+        self.outboxes.push(out);
+        answer
     }
 }
 
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("front", &self.front.len())
-            .field("backends", &self.backends.len())
+            .field("cores", &self.cores.len())
             .field("queries", &self.queries)
             .field("rcodes", &self.rcodes)
             .finish()
@@ -265,6 +205,7 @@ impl std::fmt::Debug for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plugin::{PluginDecision, QueryCtx};
     use crate::plugins::{AuthoritativePlugin, CachePlugin, StubDomainPlugin};
     use crate::zone::Zone;
     use dns_wire::{Name, RrType};
@@ -372,8 +313,7 @@ mod tests {
     fn ecs_option_is_echoed_back() {
         let mut e = engine();
         let ecs = dns_wire::ClientSubnet::query("172.16.0.0".parse().unwrap(), 12);
-        let q = Message::query(6, n("video.mycdn.ciab.test"), RrType::A)
-            .with_client_subnet(ecs);
+        let q = Message::query(6, n("video.mycdn.ciab.test"), RrType::A).with_client_subnet(ecs);
         let resp = e.resolve(at(0), CLIENT, 4000, &q).unwrap();
         assert_eq!(resp.client_subnet(), Some(&ecs));
     }

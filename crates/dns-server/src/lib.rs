@@ -15,22 +15,21 @@
 //!   [`plugins::StubDomainPlugin`] (the CoreDNS stub-domain mechanism the
 //!   prototype uses to hand the CDN zone to the Traffic Router),
 //!   [`plugins::ForwardPlugin`] and [`plugins::AuthoritativePlugin`].
-//! * [`server::DnsServer`] — a [`netsim::NodeBehavior`] that runs a
-//!   plugin chain with a per-query processing-delay model, forwarding
-//!   state, retries, and a full **iterative resolver** (root → TLD →
-//!   authoritative, CNAME chasing, glue handling) for the
-//!   [`plugins::RecursePlugin`].
+//! * [`resolver::Resolver`] — the one sans-IO **resolver core**:
+//!   forwarding, retries and a full **iterative resolver** (root → TLD
+//!   → authoritative, CNAME chasing, glue) for [`plugins::RecursePlugin`].
+//! * [`server::DnsServer`] — the core as a [`netsim::NodeBehavior`],
+//!   with a per-query processing-delay model.
 //! * [`stub::StubEngine`] — the client side: unicast, multicast (the
 //!   paper's "DNS requests be multicast to both MEC DNS and the
 //!   network's L-DNS") and fallback-on-timeout strategies, with RTT
 //!   measurement per query.
 //! * EDNS Client Subnet end to end: stubs and forwarders can attach ECS,
 //!   servers model its extra processing cost, and answers can be scoped.
-//! * [`engine::ServeEngine`] — the same plugin chain behind a plain
-//!   synchronous call for real transports: the `mecdnsd` binary decodes
-//!   a UDP datagram, calls [`engine::ServeEngine::resolve`], and encodes
-//!   the answer with `Message::encode_bounded` (TC-bit truncation to the
-//!   client's payload budget).
+//! * [`engine::ServeEngine`] — the core behind a synchronous call, with
+//!   in-process backend cores: `mecdnsd` decodes a UDP datagram, calls
+//!   [`engine::ServeEngine::resolve`], and encodes the answer with
+//!   `Message::encode_bounded` (TC-bit truncation to the payload budget).
 //!
 //! # Omitted (deliberately)
 //!
@@ -43,6 +42,7 @@ pub mod cache;
 pub mod engine;
 pub mod plugin;
 pub mod plugins;
+pub mod resolver;
 pub mod server;
 pub mod stub;
 pub mod zone;
@@ -50,6 +50,7 @@ pub mod zone;
 pub use cache::{CacheHit, DnsCache};
 pub use engine::{RcodeCounts, ServeEngine};
 pub use plugin::{Plugin, PluginDecision, QueryCtx};
-pub use server::{DnsServer, ServerConfig};
+pub use resolver::{Action, Resolver, ServerConfig};
+pub use server::DnsServer;
 pub use stub::{QueryOutcome, SendStrategy, StubEngine};
 pub use zone::{LookupResult, Zone};

@@ -1,9 +1,9 @@
 //! The plugin chain: CoreDNS-style query handling.
 //!
-//! A [`crate::server::DnsServer`] owns an ordered list of [`Plugin`]s.
-//! For each query, plugins are consulted in order until one returns a
-//! decision other than [`PluginDecision::Continue`]. Plugins also observe
-//! upstream responses via [`Plugin::on_response`] (how the cache fills).
+//! A [`crate::resolver::Resolver`] core owns an ordered list of
+//! [`Plugin`]s. For each query, plugins are consulted in order until one
+//! returns a decision other than [`PluginDecision::Continue`]. Plugins
+//! also observe upstream responses via [`Plugin::on_response`].
 
 use dns_wire::Message;
 use netsim::{SimTime, Telemetry};
@@ -64,7 +64,7 @@ pub trait Plugin: std::any::Any {
     /// recursion) before it is sent to the client. May mutate it.
     fn on_response(&mut self, _ctx: &QueryCtx, _response: &mut Message) {}
 
-    /// Observes the fate of an upstream exchange the server ran on this
+    /// Observes the fate of an upstream exchange the core ran on this
     /// plugin chain's behalf: `ok = true` when `upstream` answered,
     /// `false` when it exhausted the retry budget in silence. How the
     /// forward plugin's health tracker learns which upstreams are dead

@@ -182,7 +182,7 @@ fn second_lookup_hits_the_ldns_cache() {
     assert!(out[1].rtt.as_millis_f64() < 6.0, "cache miss? rtt {}", out[1].rtt);
     assert!(out[0].rtt.as_millis_f64() > 30.0);
     let ldns = h.net.behavior::<DnsServer>(h.ldns);
-    let cache: &CachePlugin = ldns.plugin(0).expect("cache plugin");
+    let cache: &CachePlugin = ldns.core.plugin(0).expect("cache plugin");
     assert_eq!(cache.hits(), 1);
     // Both answers identical.
     assert_eq!(out[0].addrs, out[1].addrs);
@@ -324,7 +324,7 @@ fn fallback_not_used_when_primary_answers() {
     assert_eq!(out.len(), 1);
     assert!(!out[0].used_fallback);
     let fb = net.behavior::<DnsServer>(fallback);
-    assert_eq!(fb.queries_received, 0, "fallback should never be asked");
+    assert_eq!(fb.core.queries, 0, "fallback should never be asked");
 }
 
 /// The federated-anycast world the two `CloudOnServfail` tests share:
@@ -421,7 +421,7 @@ fn cloud_on_servfail_rides_out_a_site_blackhole_by_reconverging() {
     // penalty is one timeout + reconvergence, never a cloud trip.
     assert!(out[0].rtt.as_millis_f64() >= 150.0, "rtt {:?}", out[0].rtt);
     assert!(out[0].rtt.as_millis_f64() < 200.0, "rtt {:?}", out[0].rtt);
-    assert_eq!(net.behavior::<DnsServer>(cloud).queries_received, 0);
+    assert_eq!(net.behavior::<DnsServer>(cloud).core.queries, 0);
     assert_eq!(catchment.convergences(), 1);
 }
 
@@ -447,7 +447,7 @@ fn cloud_on_servfail_leaves_the_edge_only_on_refusal() {
     // Site refusal (~4 ms) + cloud round trip (~4 ms): far below the
     // 150 ms timer — refusal must not wait for silence handling.
     assert!(out[0].rtt.as_millis_f64() < 20.0, "rtt {:?}", out[0].rtt);
-    assert_eq!(net.behavior::<DnsServer>(cloud).queries_received, 1);
+    assert_eq!(net.behavior::<DnsServer>(cloud).core.queries, 1);
 }
 
 #[test]
@@ -545,7 +545,7 @@ fn stub_domain_redirects_cdn_zone_to_cdns() {
     let google = out.iter().find(|o| o.name == n("www.google.com")).unwrap();
     assert!(google.timed_out, "non-MEC query must be ignored by the MEC DNS");
     let server = net.behavior::<DnsServer>(ldns);
-    assert_eq!(server.queries_ignored, 2, "initial + retry both ignored");
+    assert_eq!(server.core.ignored, 2, "initial + retry both ignored");
 }
 
 #[test]
@@ -587,7 +587,7 @@ fn forward_plugin_relays_and_caches() {
     assert!(out[0].rtt.as_millis_f64() > 40.0);
     assert!(out[1].rtt.as_millis_f64() < 5.0, "second hit must come from cache");
     let up = net.behavior::<DnsServer>(upstream);
-    assert_eq!(up.queries_received, 1);
+    assert_eq!(up.core.queries, 1);
 }
 
 #[test]

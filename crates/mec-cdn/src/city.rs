@@ -406,8 +406,9 @@ fn run_deployment(mec: bool, trial_seed: u64, cfg: &CityConfig) -> CityDeploymen
         "city: unaccounted queries"
     );
     let server = net.behavior::<DnsServer>(resolver);
-    assert_eq!(server.queries_received, queries, "resolver missed queries");
+    assert_eq!(server.core.queries, queries, "resolver missed queries");
     let cache = server
+        .core
         .plugin::<CachePlugin>(0)
         .expect("cache plugin at index 0");
     let (hits, misses) = (cache.hits(), cache.misses());

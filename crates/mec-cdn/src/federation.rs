@@ -513,6 +513,7 @@ fn run_deployment(kind: Kind, trial_seed: u64, cfg: &FederationConfig) -> Federa
     for &node in &site_nodes {
         let cache = net
             .behavior::<DnsServer>(node)
+            .core
             .plugin::<CachePlugin>(0)
             .expect("cache plugin at index 0");
         hits += cache.hits();
@@ -537,7 +538,7 @@ fn run_deployment(kind: Kind, trial_seed: u64, cfg: &FederationConfig) -> Federa
         kind.label()
     );
     assert_eq!(
-        net.behavior::<DnsServer>(cloud).queries_received,
+        net.behavior::<DnsServer>(cloud).core.queries,
         0,
         "cloud consulted without a refusal ({})",
         kind.label()

@@ -92,6 +92,9 @@ pub struct ServeReport {
     pub responses: u64,
     /// Queries a plugin chose to ignore.
     pub ignored: u64,
+    /// Responses (QR=1) sent to the service port: dropped unanswered,
+    /// so one spoofed packet cannot start a reply loop.
+    pub dropped: u64,
     /// Datagrams that did not parse as DNS.
     pub decode_errors: u64,
     /// Responses that failed to encode even bounded (answered ServFail
@@ -116,6 +119,7 @@ impl ServeReport {
         self.queries += other.queries;
         self.responses += other.responses;
         self.ignored += other.ignored;
+        self.dropped += other.dropped;
         self.decode_errors += other.decode_errors;
         self.encode_errors += other.encode_errors;
         self.truncated += other.truncated;
@@ -139,7 +143,7 @@ impl ServeReport {
         format!(
             "served {} queries in {:.2}s ({:.0} qps), latency p50 {:.1}us p99 {:.1}us, \
              rcodes noerror={} nxdomain={} servfail={} refused={} other={}, \
-             decode_errors={} encode_errors={} truncated={} ignored={} io_errors={}",
+             decode_errors={} encode_errors={} truncated={} ignored={} dropped={} io_errors={}",
             self.queries,
             secs,
             qps,
@@ -154,6 +158,7 @@ impl ServeReport {
             self.encode_errors,
             self.truncated,
             self.ignored,
+            self.dropped,
             self.io_errors,
         )
     }
@@ -332,6 +337,7 @@ fn shard_loop(
     }
     report.queries = engine.queries;
     report.ignored = engine.ignored;
+    report.dropped = engine.dropped;
     report.rcodes = engine.rcodes.clone();
     telemetry.with_metrics(|m| report.metrics.merge(m));
     report
@@ -487,6 +493,26 @@ mod tests {
         assert_eq!(report.decode_errors, 1);
         assert_eq!(report.responses, 1);
         assert_eq!(report.crashed_shards, 0);
+    }
+
+    #[test]
+    fn responses_on_the_query_path_are_dropped_not_answered() {
+        let config = ServeConfig::default();
+        let topo = config.topology.clone();
+        let handle = spawn(config).unwrap();
+        let target = handle.local_addrs()[0];
+        let sock = client();
+        let mut spoofed = Message::query(7, topo.content_name(5), RrType::A);
+        spoofed.header.is_response = true;
+        sock.send_to(&spoofed.encode().unwrap(), target).unwrap();
+        // Same socket, same shard: had the spoofed packet been answered,
+        // that answer would arrive first.
+        let resp = ask(&sock, target, 8, topo.content_name(6));
+        assert_eq!(resp.header.id, 8);
+        let report = handle.stop();
+        assert_eq!(report.dropped, 1);
+        assert_eq!(report.queries, 1);
+        assert_eq!(report.responses, 1);
     }
 
     #[test]
