@@ -1,6 +1,6 @@
 //! Hot-path baseline: wall time **and allocation counts** for the
 //! resolution hot path, emitted as `BENCH_hotpath.json` and committed at
-//! the repo root next to `BENCH_telemetry.json`.
+//! the repo root.
 //!
 //! A counting global allocator (in this binary only — the library crates
 //! are untouched) counts every `alloc`/`realloc` inside the measured

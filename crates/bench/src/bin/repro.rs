@@ -26,7 +26,9 @@
 //! quotes) alongside the tables, `--seed <n>` to replay under a
 //! different deterministic seed (default 2020), and `--threads <n>` to
 //! fan the figure campaigns over worker threads (`0` = all CPUs;
-//! output is byte-identical at any thread count).
+//! output is byte-identical at any thread count). An unknown
+//! subcommand or flag, or a missing or malformed flag value, exits 2
+//! with a message on stderr.
 
 use mec_cdn::experiments;
 use mec_cdn::{DeploymentKind, Runner, TestbedConfig};
@@ -34,62 +36,127 @@ use ran_sim::RadioProfile;
 
 const DEFAULT_SEED: u64 = 2020;
 
+/// Every section `main` dispatches, in print order, and whether `all`
+/// includes it. The subcommands `repro` accepts are these names and
+/// `all`.
+const SECTIONS: &[(&str, bool)] = &[
+    ("table1", true),
+    ("table2", true),
+    ("fig2", true),
+    ("fig3", true),
+    ("fig5", true),
+    ("telemetry", true),
+    ("ecs", true),
+    ("fallback", true),
+    ("dos", true),
+    ("chaos", true),
+    ("city", false),
+    ("federation", false),
+    ("ipreuse", true),
+    ("recursion", true),
+    ("load", true),
+    ("content", true),
+    ("mobility", true),
+    ("disagg", true),
+];
+
+/// The parsed command line.
+struct Cli {
+    what: String,
+    json: bool,
+    nr: bool,
+    quick: bool,
+    seed: u64,
+    threads: usize,
+}
+
+impl Cli {
+    /// Parses `args`, rejecting unknown subcommands, unknown flags, extra
+    /// arguments and missing or malformed flag values.
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli {
+            what: String::new(),
+            json: false,
+            nr: false,
+            quick: false,
+            seed: DEFAULT_SEED,
+            threads: 1,
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--json" => cli.json = true,
+                "--nr" => cli.nr = true,
+                "--quick" => cli.quick = true,
+                "--seed" => cli.seed = flag_value(arg, args.next())?,
+                "--threads" => cli.threads = flag_value(arg, args.next())?,
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                section if !cli.what.is_empty() => {
+                    return Err(format!("unexpected argument {section}"))
+                }
+                section if section == "all" || SECTIONS.iter().any(|(s, _)| *s == section) => {
+                    cli.what = section.to_string();
+                }
+                section => return Err(format!("unknown subcommand {section}")),
+            }
+        }
+        if cli.what.is_empty() {
+            cli.what = "all".to_string();
+        }
+        Ok(cli)
+    }
+
+    /// Whether section `name` is to be printed.
+    fn wants(&self, name: &str) -> bool {
+        let in_all = SECTIONS.iter().find(|(s, _)| *s == name).map(|&(_, a)| a);
+        debug_assert!(in_all.is_some(), "section {name} is missing from SECTIONS");
+        self.what == name || (self.what == "all" && in_all == Some(true))
+    }
+}
+
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
 fn main() {
     // detlint: allow(env-read) — CLI of a measurement harness, outside
     // any simulation.
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let nr = args.iter().any(|a| a == "--nr");
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse::<u64>().ok())
-    };
+    let cli = Cli::parse(&args).unwrap_or_else(|e| {
+        let names: Vec<&str> = SECTIONS.iter().map(|(s, _)| *s).collect();
+        eprintln!("repro: {e}");
+        eprintln!(
+            "usage: repro [all|{}] [--json] [--nr] [--quick] [--seed N] [--threads N]",
+            names.join("|")
+        );
+        std::process::exit(2);
+    });
+    let (json, nr, quick) = (cli.json, cli.nr, cli.quick);
     #[allow(non_snake_case)]
-    let SEED: u64 = flag_value("--seed").unwrap_or(DEFAULT_SEED);
-    let runner = Runner::new(flag_value("--threads").unwrap_or(1) as usize);
-    let what = {
-        // First bare token that is not the value of a value-taking flag.
-        let mut skip_next = false;
-        let mut found = None;
-        for a in &args {
-            if skip_next {
-                skip_next = false;
-                continue;
-            }
-            if a == "--seed" || a == "--threads" {
-                skip_next = true;
-                continue;
-            }
-            if !a.starts_with("--") {
-                found = Some(a.clone());
-                break;
-            }
-        }
-        found.unwrap_or_else(|| "all".to_string())
-    };
+    let SEED: u64 = cli.seed;
+    let runner = Runner::new(cli.threads);
 
-    let all = what == "all";
-    if all || what == "table1" {
+    if cli.wants("table1") {
         print!("{}", experiments::table1());
         println!();
     }
-    if all || what == "table2" {
+    if cli.wants("table2") {
         print!("{}", experiments::table2_with(&runner));
         println!();
     }
-    if all || what == "fig2" || what == "fig3" {
+    if cli.wants("fig2") || cli.wants("fig3") {
         let (fig2, fig3) = experiments::fig2_fig3_with(SEED, &runner);
-        if all || what == "fig2" {
+        if cli.wants("fig2") {
             print!("{}", fig2.render());
             if json {
                 println!("{}", serde_json::to_string_pretty(&fig2).unwrap());
             }
             println!();
         }
-        if all || what == "fig3" {
+        if cli.wants("fig3") {
             for f in &fig3 {
                 print!("{}", f.render());
                 println!();
@@ -99,7 +166,7 @@ fn main() {
             }
         }
     }
-    if all || what == "fig5" || what == "telemetry" {
+    if cli.wants("fig5") || cli.wants("telemetry") {
         let cfg = TestbedConfig {
             seed: SEED,
             radio: if nr { RadioProfile::Nr } else { RadioProfile::Lte },
@@ -108,7 +175,7 @@ fn main() {
         // One pass over the six worlds yields both the figure and the
         // query-path telemetry artifact.
         let (fig, telemetry) = experiments::fig5_telemetry_with(&cfg, &runner);
-        if all || what == "fig5" {
+        if cli.wants("fig5") {
             print!("{}", fig.render());
             println!(
                 "paper's means (ms): {}",
@@ -121,7 +188,7 @@ fn main() {
             }
             println!();
         }
-        if all || what == "telemetry" {
+        if cli.wants("telemetry") {
             print!("{}", telemetry.render());
             if json {
                 println!("{}", serde_json::to_string_pretty(&telemetry).unwrap());
@@ -129,7 +196,7 @@ fn main() {
             println!();
         }
     }
-    if all || what == "ecs" {
+    if cli.wants("ecs") {
         let fig = experiments::ecs_experiment(SEED);
         print!("{}", fig.render());
         println!("paper's factors: x1.01, x1.08, x0.95 (\"ECS may even increase DNS resolution time\")");
@@ -138,7 +205,7 @@ fn main() {
         }
         println!();
     }
-    if all || what == "fallback" {
+    if cli.wants("fallback") {
         let fig = experiments::fallback_experiment(SEED);
         print!("{}", fig.render());
         if json {
@@ -146,7 +213,7 @@ fn main() {
         }
         println!();
     }
-    if all || what == "dos" {
+    if cli.wants("dos") {
         let r = experiments::dos_experiment(SEED);
         println!("== dos — orchestrator ingress-threshold switch ==");
         println!(
@@ -168,7 +235,7 @@ fn main() {
         println!("resolver switches: {}", switches.join(", "));
         println!();
     }
-    if all || what == "chaos" {
+    if cli.wants("chaos") {
         let cfg = if quick {
             mec_cdn::experiments::ChaosConfig::quick()
         } else {
@@ -184,7 +251,7 @@ fn main() {
     // Deliberately NOT under `all`: the full city is a million UEs per
     // deployment, minutes of wall time, and `all`'s output is pinned by
     // golden tests that predate it.
-    if what == "city" {
+    if cli.wants("city") {
         let cfg = if quick {
             mec_cdn::CityConfig::quick()
         } else {
@@ -198,7 +265,7 @@ fn main() {
         println!();
     }
     // Like `city`, not under `all`: postdates the pinned golden output.
-    if what == "federation" {
+    if cli.wants("federation") {
         let cfg = if quick {
             mec_cdn::FederationConfig::quick()
         } else {
@@ -211,11 +278,11 @@ fn main() {
         }
         println!();
     }
-    if all || what == "ipreuse" {
+    if cli.wants("ipreuse") {
         ipreuse(SEED);
         println!();
     }
-    if all || what == "recursion" {
+    if cli.wants("recursion") {
         let r = experiments::recursion_ablation(SEED);
         println!("== recursion — stub-domain redirect vs full recursion at the MEC L-DNS ==");
         println!("stub-domain to collocated C-DNS (cold): {:>7.1} ms", r.stub_cold_ms);
@@ -227,7 +294,7 @@ fn main() {
         );
         println!();
     }
-    if all || what == "load" {
+    if cli.wants("load") {
         let points = experiments::load_experiment(SEED);
         println!("== load — MEC DNS under load, scaling out behind one ClusterIP ==");
         println!("{:>5} {:>9} {:>10} {:>10} {:>10}", "UEs", "replicas", "mean(ms)", "p92(ms)", "answered");
@@ -239,7 +306,7 @@ fn main() {
         }
         println!();
     }
-    if all || what == "content" {
+    if cli.wants("content") {
         let r = experiments::content_access_experiment(SEED);
         println!("== content — end-to-end access latency, MEC-CDN vs classic ==");
         println!(
@@ -253,7 +320,7 @@ fn main() {
         println!("end-to-end speedup: {:.1}x", r.speedup());
         println!();
     }
-    if all || what == "mobility" {
+    if cli.wants("mobility") {
         let r = experiments::mobility_experiment(SEED);
         println!("== mobility — DNS target switched with the handoff (S3) ==");
         println!(
@@ -269,7 +336,7 @@ fn main() {
         );
         println!();
     }
-    if all || what == "disagg" {
+    if cli.wants("disagg") {
         let r = experiments::disaggregation_experiment(SEED);
         println!("== disagg — request disaggregation vs cache hit rate (S2 obs. 2) ==");
         println!(

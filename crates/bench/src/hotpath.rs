@@ -1,12 +1,7 @@
-//! Shared workloads for the hot-path benchmarks: the `hotpath` Criterion
-//! bench and the `bench_hotpath` baseline binary both drive these, so
-//! the committed numbers and the interactive bench measure the same
-//! thing.
+//! Workloads for the `bench_hotpath` gate binary, matching the layers
+//! of the zero-allocation work:
 //!
-//! Three workloads, matching the three layers of the zero-allocation
-//! work:
-//!
-//! * [`intern_names`] / [`lookup_names`] — the interner itself.
+//! * [`intern_names`] — the interner itself.
 //! * [`warm_cache`] + repeated [`DnsCache::get_shared`] — the
 //!   steady-state cached-hit path (the path gated to zero allocations).
 //! * [`churn_new`] / [`churn_naive`] — insert/get/evict pressure far
@@ -50,11 +45,6 @@ pub fn intern_names(names: &[Name]) -> usize {
         acc = acc.wrapping_add(n.id().label_count());
     }
     acc
-}
-
-/// Probes the interner for every name without inserting.
-pub fn lookup_names(names: &[Name]) -> usize {
-    names.iter().filter(|n| n.lookup_id().is_some()).count()
 }
 
 /// A cache pre-filled with one A record per name.

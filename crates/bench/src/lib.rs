@@ -1,10 +1,10 @@
-//! `bench-suite` — the benchmark harness.
+//! `bench-suite` — the paper's reproduction CLI and two gate binaries.
 //!
-//! The `repro` binary regenerates every table and figure; the Criterion
-//! benches under `benches/` time the codec, the resolver cache, the
-//! router selection strategies, and one full figure-regeneration run
-//! each for Figures 2 and 5. The `bench_hotpath` binary emits
-//! `BENCH_hotpath.json` — the committed zero-allocation / throughput
-//! baseline for the resolution hot path (see `hotpath`).
+//! The `repro` binary regenerates every table and figure. The
+//! `bench_hotpath` binary gates the resolution hot path against
+//! `BENCH_hotpath.json` (zero allocations per cached hit; see
+//! `hotpath`), and `bench_city` gates the metro-scale simulator against
+//! `BENCH_city.json`. Timing the implementation layer by layer is
+//! `perfbench`'s job (`perfbench/README.md`).
 
 pub mod hotpath;

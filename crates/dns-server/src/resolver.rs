@@ -77,6 +77,12 @@ pub enum Action<R> {
     },
 }
 
+/// CNAMEs one recursion may chase before it answers SERVFAIL.
+const MAX_CNAMES: u8 = 8;
+/// Referrals one recursion may follow, across all its CNAME chases,
+/// before it answers SERVFAIL: a referral cycle ends here.
+const MAX_REFERRALS: u8 = 32;
+
 /// Iterative-resolution state: where we are in root → TLD → authority.
 struct Recursion {
     roots: Vec<IpAddr>,
@@ -86,6 +92,7 @@ struct Recursion {
     /// The name being resolved (moves along a CNAME chain).
     current_name: Name,
     cname_count: u8,
+    referral_count: u8,
     /// CNAMEs followed so far, prepended to the final answer.
     acc: Vec<Record>,
 }
@@ -112,7 +119,7 @@ impl Recursion {
             .find(|rec| rec.rrtype() == RrType::Cname);
         if let (false, Some(c)) = (answered, cname) {
             // CNAME without the final type: chase it from the roots.
-            if self.cname_count >= 8 {
+            if self.cname_count >= MAX_CNAMES {
                 return Step::Fail;
             }
             self.cname_count += 1;
@@ -131,6 +138,10 @@ impl Recursion {
             .collect();
         if !answered && !reply.authorities.is_empty() && !glue.is_empty() {
             // Referral: follow the glue.
+            if self.referral_count >= MAX_REFERRALS {
+                return Step::Fail;
+            }
+            self.referral_count += 1;
             self.servers = glue;
             self.server_idx = 0;
             return Step::Rehop;
@@ -261,6 +272,7 @@ impl<R> Resolver<R> {
                     .question()
                     .map_or_else(Name::root, |q| q.qname.clone()),
                 cname_count: 0,
+                referral_count: 0,
                 acc: Vec::new(),
             }),
             PluginDecision::Ignore => {
@@ -487,7 +499,8 @@ fn respond<R>(to: R, query: &Message, mut response: Message, out: &mut Vec<Actio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plugins::ForwardPlugin;
+    use crate::plugins::{ForwardPlugin, RecursePlugin};
+    use dns_wire::RrClass;
     use std::net::Ipv4Addr;
 
     const CLIENT: (IpAddr, u16) = (IpAddr::V4(Ipv4Addr::new(10, 0, 0, 9)), 4000);
@@ -530,5 +543,54 @@ mod tests {
         core.on_timeout(now, timer, &mut out);
         assert!(out.is_empty());
         assert_eq!(core.upstream_timeouts, 1);
+    }
+
+    #[test]
+    fn a_referral_cycle_answers_servfail() {
+        // Two servers, each referring `x.test` to the other.
+        let (a, b) = (Ipv4Addr::new(10, 0, 1, 1), Ipv4Addr::new(10, 0, 1, 2));
+        let roots = vec![IpAddr::V4(a)];
+        let recurse: Vec<Box<dyn Plugin>> = vec![Box::new(RecursePlugin::new(roots))];
+        let mut core: Resolver<&str> = Resolver::new(ServerConfig::default(), recurse);
+        let mut out = Vec::new();
+        let now = SimTime::ZERO;
+        let q = Message::query(5, Name::parse("x.test").unwrap(), RrType::A);
+        assert!(core.admit(&q));
+        core.on_query(now, CLIENT, "client", &q, &mut out);
+        let mut referrals = 0;
+        let response = loop {
+            let (upstream, query) = match out.pop() {
+                Some(Action::Upstream {
+                    upstream, query, ..
+                }) => (upstream, query),
+                Some(Action::Reply("client", response)) => break response,
+                other => panic!("unexpected action {other:?}"),
+            };
+            assert!(
+                referrals <= MAX_REFERRALS,
+                "a referral cycle must end within {MAX_REFERRALS} referrals"
+            );
+            referrals += 1;
+            let (ns, glue) = if upstream == IpAddr::V4(a) {
+                ("ns.b.test", b)
+            } else {
+                ("ns.a.test", a)
+            };
+            let ns = Name::parse(ns).unwrap();
+            let mut referral = Message::response_to(&query);
+            referral.authorities.push(Record::new(
+                Name::parse("test").unwrap(),
+                RrClass::In,
+                300,
+                RData::Ns(ns.clone()),
+            ));
+            referral
+                .additionals
+                .push(Record::new(ns, RrClass::In, 300, RData::A(glue)));
+            core.on_reply(now, referral, &mut out);
+        };
+        assert_eq!(response.header.rcode, Rcode::ServFail);
+        assert_eq!(response.header.id, 5);
+        assert!(out.is_empty());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Each function builds the relevant world, runs it, and returns
 //! serializable figure data (see `workload::figures`). The `repro`
-//! binary prints these; integration tests assert their shape; the
-//! Criterion benches time them.
+//! binary prints these; integration tests assert their shape;
+//! perfbench's `paper` workload times them.
 
 use crate::deployments::{Deployment, DeploymentKind, TestbedConfig};
 use crate::dos::{DirectedClient, DosPolicy, ResolverDirective};

@@ -169,8 +169,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
     i32::from(report.received == 0)
 }
 
-/// Hand-rolled JSON so the binary needs no serializer dependency; the
-/// committed benchmark artifact is produced by `bench_serve`, not here.
+/// Hand-rolled JSON so the binary needs no serializer dependency.
 fn loadgen_json(report: &mecdnsd::LoadReport) -> String {
     format!(
         "{{\"sent\":{},\"received\":{},\"timeouts\":{},\"decode_errors\":{},\
@@ -188,7 +187,9 @@ fn loadgen_json(report: &mecdnsd::LoadReport) -> String {
 }
 
 /// In-process server + load generator over loopback, with hard
-/// assertions: the CI smoke gate.
+/// assertions that hold on any host: the CI smoke gate. Every datagram
+/// parses, every query is answered NOERROR, nothing truncates, and
+/// throughput is nonzero.
 fn cmd_smoke(args: &[String]) -> i32 {
     let queries = match opt_value(args, "--queries") {
         Ok(v) => v.unwrap_or(10_000),
@@ -257,6 +258,18 @@ fn cmd_smoke(args: &[String]) -> i32 {
         failures.push(format!(
             "clients saw {} decode errors",
             client_report.decode_errors
+        ));
+    }
+    if server_report.rcodes.noerror != server_report.queries {
+        failures.push(format!(
+            "{} NOERROR answers for {} queries",
+            server_report.rcodes.noerror, server_report.queries
+        ));
+    }
+    if server_report.truncated != 0 {
+        failures.push(format!(
+            "{} responses truncated under single-answer load",
+            server_report.truncated
         ));
     }
     if client_report.received == 0 || client_report.qps() <= 0.0 {
