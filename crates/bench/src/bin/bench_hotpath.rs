@@ -70,7 +70,7 @@ fn allocs_now() -> u64 {
 
 /// Runs `f` `iters` times, returning (ns per op, allocations per op).
 fn measure<F: FnMut()>(iters: u64, mut f: F) -> (f64, f64) {
-    // Warm up once so lazy state (interner, free lists) settles.
+    // Warm up once so lazy state (free lists, map capacity) settles.
     f();
     let a0 = allocs_now();
     // detlint: allow(wall-clock) — this binary *measures* wall time;
@@ -110,7 +110,6 @@ struct Resolve {
 struct Report {
     schema: &'static str,
     quick: bool,
-    name_intern: Section,
     cached_hit: Section,
     cache_churn: Churn,
     resolve_end_to_end: Resolve,
@@ -120,32 +119,21 @@ fn run(quick: bool) -> Report {
     // The resolve world always runs the same query count: per-query cost
     // includes the amortized world setup, so shrinking the count in
     // quick mode would inflate it against the committed baseline.
-    let (pool_iters, hit_iters, churn_iters, queries) = if quick {
-        (200u64, 50_000u64, 5u64, 1_000u64)
+    let (hit_iters, churn_iters, queries) = if quick {
+        (50_000u64, 5u64, 1_000u64)
     } else {
-        (2_000, 500_000, 40, 1_000)
-    };
-
-    // Interner steady state: every name already interned, each pass is
-    // 1000 id reads.
-    let names = hotpath::name_pool(1000);
-    hotpath::intern_names(&names);
-    let (intern_ns, intern_allocs) = measure(pool_iters, || {
-        black_box(hotpath::intern_names(black_box(&names)));
-    });
-    let name_intern = Section {
-        ns_per_op: intern_ns / names.len() as f64,
-        allocs_per_op: intern_allocs / names.len() as f64,
+        (500_000, 40, 1_000)
     };
 
     // The gated path: warm cache, shared-record get. Each measured op is
     // one query; the gate requires allocs_per_op == 0.
+    let names = hotpath::name_pool(1000);
     let mut warm = hotpath::warm_cache(&names, 2048);
     let t = SimTime::ZERO + SimDuration::from_secs(10);
     let mut i = 0usize;
     let (hit_ns, hit_allocs) = measure(hit_iters, || {
         i = (i + 1) % names.len();
-        black_box(warm.get_shared(black_box(&names[i]), RrType::A, t));
+        black_box(warm.get(black_box(&names[i]), RrType::A, t));
     });
     let cached_hit = Section {
         ns_per_op: hit_ns,
@@ -188,7 +176,6 @@ fn run(quick: bool) -> Report {
     Report {
         schema: "bench-hotpath/v1",
         quick,
-        name_intern,
         cached_hit,
         cache_churn,
         resolve_end_to_end,

@@ -1,12 +1,11 @@
 //! Workloads for the `bench_hotpath` gate binary, matching the layers
 //! of the zero-allocation work:
 //!
-//! * [`intern_names`] — the interner itself.
-//! * [`warm_cache`] + repeated [`DnsCache::get_shared`] — the
-//!   steady-state cached-hit path (the path gated to zero allocations).
+//! * [`warm_cache`] + repeated [`DnsCache::get`] — the steady-state
+//!   cached-hit path (the path gated to zero allocations).
 //! * [`churn_new`] / [`churn_naive`] — insert/get/evict pressure far
 //!   above capacity, the same schedule against the new cache and the
-//!   pre-interning `dns_server::cache::naive` reference.
+//!   string-keyed `dns_server::cache::naive` reference.
 //! * [`run_resolution`] — a full simulated client → L-DNS (cache +
 //!   recursion) → root/TLD/authoritative world resolving one CDN name
 //!   many times: first query iterates, the rest hit the L-DNS cache.
@@ -38,15 +37,6 @@ pub fn a_record(name: &Name, ttl: u32) -> Record {
     )
 }
 
-/// Interns every name in the pool (steady state: all already interned).
-pub fn intern_names(names: &[Name]) -> usize {
-    let mut acc = 0usize;
-    for n in names {
-        acc = acc.wrapping_add(n.id().label_count());
-    }
-    acc
-}
-
 /// A cache pre-filled with one A record per name.
 pub fn warm_cache(names: &[Name], capacity: usize) -> DnsCache {
     let mut cache = DnsCache::new(capacity);
@@ -72,7 +62,7 @@ pub fn churn_new(names: &[Name], capacity: usize, rounds: usize) -> u64 {
     cache.hits + cache.misses
 }
 
-/// The same churn schedule against the pre-interning reference cache.
+/// The same churn schedule against the string-keyed reference cache.
 pub fn churn_naive(names: &[Name], capacity: usize, rounds: usize) -> u64 {
     let mut cache = dns_server::cache::naive::DnsCache::new(capacity);
     let mut t = 0u64;

@@ -16,7 +16,8 @@
 //! percentages map onto.
 
 use dns_server::{Plugin, PluginDecision, QueryCtx};
-use dns_wire::{Message, Name, NameId, RData, Rcode, Record, RrClass, RrType};
+use dns_wire::name::MAX_NAME_LEN;
+use dns_wire::{Message, Name, RData, Rcode, Record, RrClass, RrType};
 use netsim::Cidr;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -77,16 +78,23 @@ impl WeightedState {
     }
 }
 
+/// One domain's pool policy.
+#[derive(Debug, Default)]
+struct DomainPolicy {
+    /// Resolver addr → weighted pools. Ordered map: `classify` walks
+    /// it, and the most-specific-pool tie-break must not depend on hash
+    /// order.
+    per_resolver: BTreeMap<IpAddr, WeightedState>,
+    /// Default pools (resolvers with no override).
+    defaults: Option<Vec<PoolChoice>>,
+    /// Instantiated default states per resolver.
+    instantiated: BTreeMap<IpAddr, WeightedState>,
+}
+
 /// The commercial C-DNS: per-(domain, resolver) weighted pool rotation.
 pub struct MultiCdnRouter {
-    /// (interned domain, resolver addr) → weighted pools. Ordered map:
-    /// `classify` walks it, and the most-specific-pool tie-break must
-    /// not depend on hash order.
-    per_resolver: BTreeMap<(NameId, IpAddr), WeightedState>,
-    /// Interned domain → default pools (resolvers with no override).
-    defaults: BTreeMap<NameId, Vec<PoolChoice>>,
-    /// Instantiated default states per (domain, resolver).
-    instantiated: BTreeMap<(NameId, IpAddr), WeightedState>,
+    /// Folded domain name ([`Name::fold_into`]) → its policy.
+    domains: BTreeMap<Box<[u8]>, DomainPolicy>,
     /// Answer TTL. Commercial CDN A records are short-lived.
     pub ttl: u32,
     counter: u64,
@@ -96,9 +104,7 @@ impl MultiCdnRouter {
     /// An empty router.
     pub fn new() -> Self {
         MultiCdnRouter {
-            per_resolver: BTreeMap::new(),
-            defaults: BTreeMap::new(),
-            instantiated: BTreeMap::new(),
+            domains: BTreeMap::new(),
             ttl: 30,
             counter: 0,
         }
@@ -108,25 +114,30 @@ impl MultiCdnRouter {
     /// how the per-access-network distributions of Figure 3 are wired.
     pub fn set_policy(&mut self, domain: &Name, resolver: IpAddr, pools: Vec<PoolChoice>) {
         assert!(!pools.is_empty(), "policy needs at least one pool");
-        self.per_resolver
-            .insert((domain.id(), resolver), WeightedState::new(pools));
+        self.policy(domain)
+            .per_resolver
+            .insert(resolver, WeightedState::new(pools));
     }
 
     /// Sets the default pools for `domain` (any other resolver).
     pub fn set_default(&mut self, domain: &Name, pools: Vec<PoolChoice>) {
         assert!(!pools.is_empty(), "policy needs at least one pool");
-        self.defaults.insert(domain.id(), pools);
+        self.policy(domain).defaults = Some(pools);
+    }
+
+    fn policy(&mut self, domain: &Name) -> &mut DomainPolicy {
+        let key = domain.fold_into(&mut [0; MAX_NAME_LEN]).into();
+        self.domains.entry(key).or_default()
     }
 
     /// Classifies an answer address into its provider pool, if known.
     pub fn classify(&self, domain: &Name, addr: Ipv4Addr) -> Option<(&'static str, Cidr)> {
-        let key = domain.id();
-        let all = self
+        let policy = self.domains.get(domain.fold_into(&mut [0; MAX_NAME_LEN]))?;
+        let all = policy
             .per_resolver
-            .iter()
-            .filter(|((d, _), _)| *d == key)
-            .flat_map(|(_, s)| s.choices.iter())
-            .chain(self.defaults.get(&key).into_iter().flatten());
+            .values()
+            .flat_map(|s| s.choices.iter())
+            .chain(policy.defaults.iter().flatten());
         // Most specific matching pool wins (Akamai /24 inside the /8).
         all.filter(|c| c.pool.contains(IpAddr::V4(addr)))
             .max_by_key(|c| c.pool.prefix_len())
@@ -149,33 +160,27 @@ impl Plugin for MultiCdnRouter {
         let Some(q) = query.question() else {
             return PluginDecision::Continue;
         };
-        // A name nobody configured was never interned: alloc-free reject.
-        let Some(qid) = q.qname.lookup_id() else {
+        // A name nobody configured: stack-buffer probe, alloc-free reject.
+        let Some(policy) = self
+            .domains
+            .get_mut(q.qname.fold_into(&mut [0; MAX_NAME_LEN]))
+        else {
             return PluginDecision::Continue;
         };
-        let key = (qid, ctx.client);
-        // Single lookup: a specific per-resolver policy wins; otherwise
-        // lazily instantiate the domain default for this resolver. The
-        // picked choice is copied out so neither map borrow outlives the
-        // match (`Cidr` is `Copy`, the provider is `&'static`).
-        let (provider, pool) = match self.per_resolver.get_mut(&key) {
-            Some(state) => {
-                let idx = state.pick();
-                (state.choices[idx].provider, state.choices[idx].pool)
-            }
-            None => {
-                let Some(defaults) = self.defaults.get(&key.0) else {
-                    return PluginDecision::Continue;
-                };
-                let defaults = defaults.clone();
-                let state = self
-                    .instantiated
-                    .entry(key)
-                    .or_insert_with(|| WeightedState::new(defaults));
-                let idx = state.pick();
-                (state.choices[idx].provider, state.choices[idx].pool)
-            }
+        // A specific per-resolver policy wins; otherwise lazily
+        // instantiate the domain default for this resolver. The picked
+        // choice is copied out so no map borrow outlives the match
+        // (`Cidr` is `Copy`, the provider is `&'static`).
+        let state = match (policy.per_resolver.get_mut(&ctx.client), &policy.defaults) {
+            (Some(state), _) => state,
+            (None, Some(defaults)) => policy
+                .instantiated
+                .entry(ctx.client)
+                .or_insert_with(|| WeightedState::new(defaults.clone())),
+            (None, None) => return PluginDecision::Continue,
         };
+        let idx = state.pick();
+        let (provider, pool) = (state.choices[idx].provider, state.choices[idx].pool);
         ctx.telemetry.incr("cdns.multi.answer");
         ctx.telemetry.mark(
             u64::from(query.header.id),

@@ -16,9 +16,9 @@ use std::net::{IpAddr, Ipv4Addr};
 
 /// Blueprint for one serving process: which CDN namespace it owns,
 /// which cache servers the C-DNS hands out, and how big the L-DNS
-/// cache is. `Name`s are plain data and the intern table is a global
-/// lock, so a topology can be shared across shard threads while each
-/// thread builds its own (non-`Send`) engine from it.
+/// cache is. `Name`s are plain owned data, so a topology can be shared
+/// across shard threads while each thread builds its own (non-`Send`)
+/// engine from it.
 #[derive(Debug, Clone)]
 pub struct ServeTopology {
     /// The CDN's whole namespace (stub-routed to the C-DNS).

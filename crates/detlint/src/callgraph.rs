@@ -31,7 +31,7 @@ pub const METHOD_AMBIGUITY_CAP: usize = 4;
 /// Ubiquitous std collection/trait method names: a `.get(..)` is almost
 /// always `HashMap::get`, not a workspace method that happens to share
 /// the name, so cross-crate resolution of these is pure collision noise
-/// (`table_write`'s `.write()` must not reach an unrelated
+/// (an `RwLock` guard's `.write()` must not reach an unrelated
 /// `Baseline::write`). They still resolve within the caller's crate,
 /// where shadowing std names is a local, reviewable choice.
 pub const STD_METHOD_NAMES: &[&str] = &[

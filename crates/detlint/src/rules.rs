@@ -163,7 +163,6 @@ pub const OUTPUT_AFFECTING_CRATES: &[&str] = &[
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/dns-wire/src/wire.rs",
     "crates/dns-wire/src/name.rs",
-    "crates/dns-wire/src/intern.rs",
     "crates/dns-wire/src/message.rs",
     "crates/dns-wire/src/header.rs",
     "crates/dns-wire/src/record.rs",
@@ -196,12 +195,13 @@ pub const HOT_PATH_FILES: &[&str] = &[
 /// `hot-alloc`. Miss/insert paths allocate by design and are not roots.
 pub const HOT_ALLOC_ROOTS: &[(&str, &str)] = &[
     // The cached-hit lookup: probe, TTL check, LRU bump, shared answer.
-    ("crates/dns-server/src/cache.rs", "get_shared"),
-    // Alloc-free intern probes and id-space name algebra.
-    ("crates/dns-wire/src/intern.rs", "lookup"),
-    ("crates/dns-wire/src/intern.rs", "parent"),
-    ("crates/dns-wire/src/intern.rs", "is_subdomain_of"),
-    ("crates/dns-wire/src/intern.rs", "suffix_chain"),
+    ("crates/dns-server/src/cache.rs", "get"),
+    // Folded-key algebra: the stack-buffer fold every map probe builds
+    // its key with, and the label-boundary suffix walk.
+    ("crates/dns-wire/src/name.rs", "fold_into"),
+    ("crates/dns-wire/src/name.rs", "suffixes"),
+    // Compression: matching a suffix against the bytes already written.
+    ("crates/dns-wire/src/wire.rs", "find_suffix"),
 ];
 
 /// The workspace policy: which rules apply to a file, by its
@@ -292,7 +292,7 @@ mod tests {
             "crates/mecdnsd/src/serve.rs",
             "crates/mec-cdn/src/runner.rs",
             "crates/dns-fuzz/src/runner.rs",
-            "crates/dns-wire/src/intern.rs",
+            "crates/dns-server/src/cache.rs",
             "crates/detlint/src/engine.rs",
         ] {
             let rules = rules_for_path(f);

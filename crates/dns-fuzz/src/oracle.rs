@@ -6,10 +6,11 @@
 //! count-clamped preallocation make decode work linear in input size,
 //! so termination is structural, not timed). For every accepted input
 //! the pipeline decode → encode → decode must be idempotent and the
-//! second encode byte-stable, and `Name` id-space equality must agree
-//! with structural equality.
+//! second encode byte-stable, and the folded-key identity of every name
+//! must agree with `Name` equality and containment.
 
 use crate::rng::splitmix64;
+use dns_wire::name::{suffixes, MAX_NAME_LEN};
 use dns_wire::{Message, Name, WireError};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,7 +23,7 @@ use std::sync::Once;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// Full pipeline passed: decode, re-encode, re-decode, stability
-    /// and (when sampled) id-space agreement.
+    /// and (when sampled) name-key agreement.
     Accepted,
     /// Decode failed with the named typed `WireError` variant — the
     /// correct way to refuse hostile bytes.
@@ -37,8 +38,8 @@ pub enum Outcome {
     NonIdempotent,
     /// Two encodes of the same message differ — unstable compression.
     EncodeUnstable,
-    /// `Name` id-space equality disagreed with structural equality.
-    IdSpaceMismatch,
+    /// A folded name key disagreed with `Name` equality or containment.
+    NameKeyMismatch,
 }
 
 impl Outcome {
@@ -58,7 +59,7 @@ impl Outcome {
             Outcome::RedecodeErr(_) => "redecode-err",
             Outcome::NonIdempotent => "non-idempotent",
             Outcome::EncodeUnstable => "encode-unstable",
-            Outcome::IdSpaceMismatch => "id-space-mismatch",
+            Outcome::NameKeyMismatch => "name-key-mismatch",
         }
     }
 
@@ -117,13 +118,13 @@ fn quiet_panics() {
 
 /// Runs one input through the full differential pipeline.
 ///
-/// `check_id_space` additionally verifies id-space vs structural name
-/// equality; campaigns sample it (interning is process-permanent, so
-/// doing it on every hostile input would grow the table unboundedly).
-pub fn check(input: &[u8], check_id_space: bool) -> Outcome {
+/// `check_name_keys` additionally verifies folded-key vs structural
+/// name identity; campaigns sample it (it is quadratic in the names of
+/// a message).
+pub fn check(input: &[u8], check_name_keys: bool) -> Outcome {
     quiet_panics();
     let stage = Cell::new("decode");
-    let result = catch_unwind(AssertUnwindSafe(|| run_pipeline(input, check_id_space, &stage)));
+    let result = catch_unwind(AssertUnwindSafe(|| run_pipeline(input, check_name_keys, &stage)));
     match result {
         Ok(outcome) => outcome,
         Err(payload) => {
@@ -137,7 +138,7 @@ pub fn check(input: &[u8], check_id_space: bool) -> Outcome {
     }
 }
 
-fn run_pipeline(input: &[u8], check_id_space: bool, stage: &Cell<&'static str>) -> Outcome {
+fn run_pipeline(input: &[u8], check_name_keys: bool, stage: &Cell<&'static str>) -> Outcome {
     let m1 = match Message::decode(input) {
         Ok(m) => m,
         Err(e) => return Outcome::DecodeErr(variant_name(&e)),
@@ -163,10 +164,10 @@ fn run_pipeline(input: &[u8], check_id_space: bool, stage: &Cell<&'static str>) 
     if b2 != b1 {
         return Outcome::EncodeUnstable;
     }
-    if check_id_space {
-        stage.set("id-space");
-        if !id_space_agrees(&m1) {
-            return Outcome::IdSpaceMismatch;
+    if check_name_keys {
+        stage.set("name-keys");
+        if !name_keys_agree(&m1) {
+            return Outcome::NameKeyMismatch;
         }
     }
     Outcome::Accepted
@@ -206,16 +207,21 @@ fn collect_names<'m>(m: &'m Message, cap: usize) -> Vec<&'m Name> {
     names
 }
 
-/// Pairwise check that interned-id equality matches structural `Name`
-/// equality for every name in the message.
-fn id_space_agrees(m: &Message) -> bool {
+/// Pairwise check over the message's names that folded keys are the
+/// identity the resolver's maps rely on: key equality ⇔ `Name`
+/// equality, and finding one key among the other's label-boundary
+/// suffixes ⇔ `Name::is_subdomain_of`.
+fn name_keys_agree(m: &Message) -> bool {
     let names = collect_names(m, 8);
+    let (mut buf_a, mut buf_b) = ([0; MAX_NAME_LEN], [0; MAX_NAME_LEN]);
     for &a in &names {
+        let ka = a.fold_into(&mut buf_a);
         for &b in &names {
-            if (a.id() == b.id()) != (a == b) {
+            let kb = b.fold_into(&mut buf_b);
+            if (ka == kb) != (a == b) {
                 return false;
             }
-            if a.id().is_subdomain_of(b.id()) != a.is_subdomain_of(b) {
+            if suffixes(ka).any(|s| s == kb) != a.is_subdomain_of(b) {
                 return false;
             }
         }

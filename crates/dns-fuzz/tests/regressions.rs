@@ -90,11 +90,11 @@ fn lying_counts_fail_with_count_mismatch() {
     assert_eq!(check(&m, false), Outcome::DecodeErr("CountMismatch"));
 }
 
-/// A label containing a literal dot must intern to a different NameId
+/// A label containing a literal dot must get a different folded key
 /// than the same bytes split into two labels: identity is label
-/// *structure*, not the joined dotted string. The intern table used to
-/// key on the dotted rendering, so `["a.b"]` and `["a","b"]` collided
-/// — an IdSpaceMismatch crasher under the oracle.
+/// *structure*, not the joined dotted string. A key built from the
+/// dotted rendering would make `["a.b"]` and `["a","b"]` collide — a
+/// NameKeyMismatch crasher under the oracle.
 #[test]
 fn dot_inside_a_label_keeps_its_own_identity() {
     // Two questions: qname1 = one label "a.b", qname2 = labels "a","b".
@@ -142,7 +142,7 @@ fn opt_option_length_overflow_is_typed() {
     assert_eq!(check(&m, false), Outcome::DecodeErr("Truncated"));
 }
 
-/// Every committed corpus seed must pass the full oracle, id-space
+/// Every committed corpus seed must pass the full oracle, name-key
 /// check included — the corpus is the fuzzer's definition of "known
 /// good".
 #[test]

@@ -12,9 +12,10 @@
 //!
 //! The steady-state hit path allocates nothing:
 //!
-//! * Keys are interned `(NameId, qtype)` pairs — no `canonical()`
-//!   strings. Lookups probe the interner without growing it, so a miss
-//!   for a never-seen name is allocation-free too.
+//! * Keys are the qtype followed by the qname's folded wire labels
+//!   ([`Name::fold_into`]) — no `canonical()` strings. A lookup builds
+//!   its key in a stack buffer and probes with the borrowed slice, so a
+//!   miss for a never-seen name is allocation-free too.
 //! * Entries live in a slab (`Vec<Slot>` + free list) threaded onto an
 //!   index-based doubly-linked LRU list (head = most recent); eviction
 //!   pops the tail in O(1) instead of scanning the map for the minimum
@@ -27,14 +28,15 @@
 //!   the answer is serialized into a response, not by deep-cloning the
 //!   record vector inside the cache.
 //!
-//! The pre-interning implementation is preserved as [`naive::DnsCache`]
-//! (tests and the `bench-naive` feature only) so the equivalence suite
-//! and the `cache_churn` benchmark can drive both side by side.
+//! The string-keyed reference implementation is kept as
+//! [`naive::DnsCache`] (tests and the `bench-naive` feature only) so the
+//! equivalence suite and the `cache_churn` benchmark can drive both side
+//! by side.
 
-use dns_wire::{Name, NameId, Rcode, Record, RrType};
+use dns_wire::name::MAX_NAME_LEN;
+use dns_wire::{Name, Rcode, Record, RrType};
 use netsim::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -47,9 +49,20 @@ const NIL: u32 = u32::MAX;
 /// cache implementations expire such entries on lookup instead.
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// Writes the cache key for `(name, qtype)` into `buf`: the qtype, then
+/// the name's folded wire labels.
+fn key<'b>(name: &Name, qtype: RrType, buf: &'b mut [u8; MAX_NAME_LEN + 2]) -> &'b [u8] {
+    let (ty, folded) = buf.split_at_mut(2);
+    ty.copy_from_slice(&qtype.to_u16().to_be_bytes());
+    let n = 2 + name.fold_into(folded).len();
+    buf.get(..n).unwrap_or_default()
+}
+
 #[derive(Debug, Clone)]
 struct Slot {
-    key: (NameId, u16),
+    /// This slot's index-map key (one allocation shared with the map),
+    /// so removing the slot can remove its map entry.
+    key: Arc<[u8]>,
     records: Arc<[Record]>,
     rcode: Rcode,
     expires: SimTime,
@@ -88,7 +101,7 @@ impl Store {
 
     fn alloc(
         &mut self,
-        key: (NameId, u16),
+        key: Arc<[u8]>,
         records: Arc<[Record]>,
         rcode: Rcode,
         expires: SimTime,
@@ -212,11 +225,8 @@ pub struct CacheHit {
 
 impl CacheHit {
     /// The records with TTLs clamped to the remaining lifetime — what a
-    /// response serializer should emit.
-    // detlint: allow-item(hot-alloc) — this is the *compat* consumption
-    // of a hit: it deliberately clones records to decay their TTLs. The
-    // zero-alloc path returns the shared `records` untouched and decays
-    // at serialization time.
+    /// response serializer should emit. Clones each record; the lookup
+    /// itself stays allocation-free.
     pub fn decayed_records(&self) -> impl Iterator<Item = Record> + '_ {
         self.records.iter().map(move |r| {
             let mut r = r.clone();
@@ -234,8 +244,8 @@ impl CacheHit {
 /// TTL + LRU cache for DNS answers.
 #[derive(Debug)]
 pub struct DnsCache {
-    /// `(interned name, qtype)` → slot index.
-    index: HashMap<(NameId, u16), u32>,
+    /// Key (see [`key`]) → slot index.
+    index: HashMap<Arc<[u8]>, u32>,
     store: Store,
     /// Min-heap of `(expires, slot, stamp)`; stale nodes are discarded
     /// lazily when their stamp no longer matches the slot.
@@ -285,7 +295,8 @@ impl DnsCache {
             return; // TTL 0 forbids caching
         }
         self.insert_entry(
-            (name.id(), qtype.to_u16()),
+            name,
+            qtype,
             records.into(),
             Rcode::NoError,
             now + SimDuration::from_secs(u64::from(min_ttl)),
@@ -308,7 +319,8 @@ impl DnsCache {
             return;
         }
         self.insert_entry(
-            (name.id(), qtype.to_u16()),
+            name,
+            qtype,
             Arc::from(Vec::new()),
             rcode,
             now + SimDuration::from_secs(u64::from(ttl)),
@@ -318,13 +330,16 @@ impl DnsCache {
 
     fn insert_entry(
         &mut self,
-        key: (NameId, u16),
+        name: &Name,
+        qtype: RrType,
         records: Arc<[Record]>,
         rcode: Rcode,
         expires: SimTime,
         now: SimTime,
     ) {
-        if self.index.len() >= self.capacity && !self.index.contains_key(&key) {
+        let mut buf = [0u8; MAX_NAME_LEN + 2];
+        let key = key(name, qtype, &mut buf);
+        if self.index.len() >= self.capacity && !self.index.contains_key(key) {
             // Expired entries are dead weight: drop them all first, and
             // only fall back to evicting the live LRU tail if the cache
             // is still full.
@@ -335,9 +350,8 @@ impl DnsCache {
                 self.remove_slot(victim);
             }
         }
-        match self.index.entry(key) {
-            MapEntry::Occupied(e) => {
-                let i = *e.get();
+        match self.index.get(key) {
+            Some(&i) => {
                 let s = &mut self.store.slots[i as usize];
                 s.records = records;
                 s.rcode = rcode;
@@ -348,9 +362,10 @@ impl DnsCache {
                 self.store.push_front(i);
                 self.expiry.push(Reverse((expires, i, stamp)));
             }
-            MapEntry::Vacant(v) => {
-                let i = self.store.alloc(key, records, rcode, expires);
-                v.insert(i);
+            None => {
+                let key: Arc<[u8]> = Arc::from(key);
+                let i = self.store.alloc(Arc::clone(&key), records, rcode, expires);
+                self.index.insert(key, i);
                 self.store.push_front(i);
                 let stamp = self.store.slots[i as usize].stamp;
                 self.expiry.push(Reverse((expires, i, stamp)));
@@ -374,8 +389,7 @@ impl DnsCache {
     }
 
     fn remove_slot(&mut self, i: u32) {
-        let key = self.store.slots[i as usize].key;
-        let removed = self.index.remove(&key);
+        let removed = self.index.remove(&self.store.slots[i as usize].key);
         debug_assert_eq!(removed, Some(i), "index and slab out of sync");
         self.store.detach(i);
         self.store.release(i);
@@ -386,51 +400,28 @@ impl DnsCache {
     /// entries inside their final second, whose truncated TTL would be
     /// 0 and therefore uncacheable downstream — are removed in the same
     /// (single) map probe. This is the steady-state zero-allocation path.
-    pub fn get_shared(&mut self, name: &Name, qtype: RrType, now: SimTime) -> Option<CacheHit> {
-        let Some(id) = name.lookup_id() else {
-            // Never-interned name: nothing was ever stored under it.
+    pub fn get(&mut self, name: &Name, qtype: RrType, now: SimTime) -> Option<CacheHit> {
+        let mut buf = [0u8; MAX_NAME_LEN + 2];
+        let Some(&i) = self.index.get(key(name, qtype, &mut buf)) else {
             self.misses += 1;
             return None;
         };
-        match self.index.entry((id, qtype.to_u16())) {
-            MapEntry::Occupied(e) => {
-                let i = *e.get();
-                let s = &mut self.store.slots[i as usize];
-                let remaining_ns = s.expires.as_nanos().saturating_sub(now.as_nanos());
-                if remaining_ns >= NANOS_PER_SEC {
-                    let hit = CacheHit {
-                        records: Arc::clone(&s.records),
-                        rcode: s.rcode,
-                        remaining_ttl: (remaining_ns / NANOS_PER_SEC) as u32,
-                    };
-                    self.store.detach(i);
-                    self.store.push_front(i);
-                    self.hits += 1;
-                    Some(hit)
-                } else {
-                    // Single probe: the occupied entry removes itself —
-                    // no second hash of the key as the old
-                    // `get_mut`-then-`remove` pair paid.
-                    e.remove();
-                    self.store.detach(i);
-                    self.store.release(i);
-                    self.misses += 1;
-                    None
-                }
-            }
-            MapEntry::Vacant(_) => {
-                self.misses += 1;
-                None
-            }
+        let s = &self.store.slots[i as usize];
+        let remaining_ns = s.expires.as_nanos().saturating_sub(now.as_nanos());
+        if remaining_ns < NANOS_PER_SEC {
+            self.remove_slot(i);
+            self.misses += 1;
+            return None;
         }
-    }
-
-    /// Looks up an answer. On a hit, returns the records with TTLs
-    /// decremented by the time already spent in cache, plus the rcode
-    /// (`NoError` for positive entries). Expired entries are removed.
-    pub fn get(&mut self, name: &Name, qtype: RrType, now: SimTime) -> Option<(Vec<Record>, Rcode)> {
-        let hit = self.get_shared(name, qtype, now)?;
-        Some((hit.decayed_records().collect(), hit.rcode))
+        let hit = CacheHit {
+            records: Arc::clone(&s.records),
+            rcode: s.rcode,
+            remaining_ttl: (remaining_ns / NANOS_PER_SEC) as u32,
+        };
+        self.store.detach(i);
+        self.store.push_front(i);
+        self.hits += 1;
+        Some(hit)
     }
 
     /// Drops every entry (used when a deployment switches resolvers).
@@ -441,7 +432,7 @@ impl DnsCache {
     }
 }
 
-/// The pre-interning cache: `String` keys, full-map expired purge and an
+/// The string-keyed reference cache: `String` keys, full-map expired purge and an
 /// O(n) LRU victim scan. Kept only as the behavioural reference for the
 /// equivalence tests and the `cache_churn` before/after benchmark.
 #[cfg(any(test, feature = "bench-naive"))]
@@ -625,6 +616,12 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(secs)
     }
 
+    /// A hit as the serializer sees it: decayed records plus the rcode —
+    /// the shape the string-keyed reference cache returns.
+    fn served(hit: Option<CacheHit>) -> Option<(Vec<Record>, Rcode)> {
+        hit.map(|h| (h.decayed_records().collect(), h.rcode))
+    }
+
     #[test]
     fn hit_before_expiry_miss_after() {
         let mut c = DnsCache::new(16);
@@ -639,7 +636,7 @@ mod tests {
     fn ttl_decays_while_cached() {
         let mut c = DnsCache::new(16);
         c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 30)], at(0));
-        let (recs, _) = c.get(&n("a.test"), RrType::A, at(10)).unwrap();
+        let (recs, _) = served(c.get(&n("a.test"), RrType::A, at(10))).unwrap();
         assert_eq!(recs[0].ttl, 20);
     }
 
@@ -647,13 +644,13 @@ mod tests {
     fn shared_hit_keeps_original_ttls_and_decays_on_demand() {
         let mut c = DnsCache::new(16);
         c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 30)], at(0));
-        let hit = c.get_shared(&n("a.test"), RrType::A, at(10)).unwrap();
+        let hit = c.get(&n("a.test"), RrType::A, at(10)).unwrap();
         assert_eq!(hit.records[0].ttl, 30, "shared set keeps the stored TTL");
         assert_eq!(hit.remaining_ttl, 20);
         let decayed: Vec<Record> = hit.decayed_records().collect();
         assert_eq!(decayed[0].ttl, 20);
         // A second hit shares the same allocation.
-        let again = c.get_shared(&n("a.test"), RrType::A, at(11)).unwrap();
+        let again = c.get(&n("a.test"), RrType::A, at(11)).unwrap();
         assert!(Arc::ptr_eq(&hit.records, &again.records));
     }
 
@@ -676,8 +673,7 @@ mod tests {
         c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 30)], at(0));
         // Exactly one second of life left: the last instant the entry is
         // servable — and it goes out with TTL 1, never 0.
-        let (recs, _) = c
-            .get(&n("a.test"), RrType::A, at(29))
+        let (recs, _) = served(c.get(&n("a.test"), RrType::A, at(29)))
             .expect("a whole second of life left is still a hit");
         assert_eq!(recs[0].ttl, 1);
         // One nanosecond later the remainder is sub-second: the entry
@@ -701,16 +697,12 @@ mod tests {
             "an answer that would carry TTL 0 must not be served"
         );
         assert!(c.is_empty(), "the dying entry is removed by the lookup");
-        // The shared-hit path agrees (re-insert; probe via get_shared).
+        // The last whole second still serves, with remaining_ttl 1.
         c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 5)], at(10));
-        let hit = c.get_shared(&n("a.test"), RrType::A, at(14)).unwrap();
+        let hit = c.get(&n("a.test"), RrType::A, at(14)).unwrap();
         assert_eq!(hit.remaining_ttl, 1, "remaining_ttl is never 0 on a hit");
         assert!(c
-            .get_shared(
-                &n("a.test"),
-                RrType::A,
-                at(14) + SimDuration::from_millis(1)
-            )
+            .get(&n("a.test"), RrType::A, at(14) + SimDuration::from_millis(1))
             .is_none());
     }
 
@@ -726,7 +718,7 @@ mod tests {
     fn negative_caching() {
         let mut c = DnsCache::new(16);
         c.insert_negative(&n("no.test"), RrType::A, Rcode::NxDomain, 10, at(0));
-        let (recs, rcode) = c.get(&n("no.test"), RrType::A, at(5)).unwrap();
+        let (recs, rcode) = served(c.get(&n("no.test"), RrType::A, at(5))).unwrap();
         assert!(recs.is_empty());
         assert_eq!(rcode, Rcode::NxDomain);
         assert!(c.get(&n("no.test"), RrType::A, at(11)).is_none());
@@ -737,7 +729,7 @@ mod tests {
         let mut c = DnsCache::new(16);
         c.insert_negative(&n("no.test"), RrType::A, Rcode::NxDomain, 10, at(0));
         // Still a hit with exactly one second of lifetime left...
-        let (recs, rcode) = c.get(&n("no.test"), RrType::A, at(9)).unwrap();
+        let (recs, rcode) = served(c.get(&n("no.test"), RrType::A, at(9))).unwrap();
         assert!(recs.is_empty());
         assert_eq!(rcode, Rcode::NxDomain);
         // ...and a miss once the remainder is sub-second: negative
@@ -900,7 +892,7 @@ mod tests {
                     }
                     _ => {
                         let a = old.get(name, RrType::A, now);
-                        let b = new.get(name, RrType::A, now);
+                        let b = served(new.get(name, RrType::A, now));
                         assert_eq!(a, b, "seed {seed} step {step}: lookup diverged");
                     }
                 }
@@ -916,7 +908,7 @@ mod tests {
             for name in &names {
                 assert_eq!(
                     old.get(name, RrType::A, end),
-                    new.get(name, RrType::A, end),
+                    served(new.get(name, RrType::A, end)),
                     "seed {seed}: final membership diverged for {name}"
                 );
             }

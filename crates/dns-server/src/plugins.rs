@@ -4,7 +4,8 @@
 use crate::cache::DnsCache;
 use crate::plugin::{Plugin, PluginDecision, QueryCtx};
 use crate::zone::{LookupResult, Zone};
-use dns_wire::{Message, Name, NameId, RData, Rcode, Record, RrClass, RrType};
+use dns_wire::name::{suffixes, MAX_NAME_LEN};
+use dns_wire::{Message, Name, RData, Rcode, Record, RrClass, RrType};
 use mec_orch::{ServiceRegistry, Visibility};
 use netsim::{Cidr, SimTime};
 use std::collections::HashMap;
@@ -106,7 +107,7 @@ impl Plugin for CachePlugin {
             return PluginDecision::Continue;
         };
         match self.cache.get(&q.qname, q.qtype, ctx.now) {
-            Some((records, rcode)) => {
+            Some(hit) => {
                 ctx.telemetry.incr("dns.cache.hit");
                 ctx.telemetry.mark(
                     u64::from(query.header.id),
@@ -114,8 +115,8 @@ impl Plugin for CachePlugin {
                     "cache.hit",
                     q.qname.canonical(),
                 );
-                let mut resp = Message::response_to(query).with_rcode(rcode);
-                resp.answers = records;
+                let mut resp = Message::response_to(query).with_rcode(hit.rcode);
+                resp.answers = hit.decayed_records().collect();
                 resp.header.recursion_available = true;
                 PluginDecision::Respond(resp)
             }
@@ -221,10 +222,10 @@ impl Plugin for KubernetesPlugin {
 /// configuration of L-DNS with the sub-domain and upstream server to
 /// ensure that L-DNS redirects queries for this CDN domain to C-DNS."*
 pub struct StubDomainPlugin {
-    /// Interned stub zone → upstream. Matching walks the query name's
-    /// parent chain in id space instead of scanning every stub with a
-    /// string-comparing `is_subdomain_of`.
-    stubs: HashMap<NameId, IpAddr>,
+    /// Folded stub zone → upstream. Matching walks the suffixes of the
+    /// query name's folded key instead of scanning every stub with
+    /// `is_subdomain_of`.
+    stubs: HashMap<Box<[u8]>, IpAddr>,
 }
 
 impl StubDomainPlugin {
@@ -233,7 +234,7 @@ impl StubDomainPlugin {
         let mut map = HashMap::new();
         for (zone, upstream) in pairs {
             // Later duplicates win, matching the old `max_by_key` scan.
-            map.insert(zone.id(), upstream);
+            map.insert(zone.fold_into(&mut [0; MAX_NAME_LEN]).into(), upstream);
         }
         StubDomainPlugin { stubs: map }
     }
@@ -250,15 +251,8 @@ impl Plugin for StubDomainPlugin {
         };
         // Most specific stub wins: the first hit walking from the query
         // name toward the root.
-        let mut best = None;
-        let mut cur = Some(q.qname.id());
-        while let Some(id) = cur {
-            if let Some(&upstream) = self.stubs.get(&id) {
-                best = Some(upstream);
-                break;
-            }
-            cur = id.parent();
-        }
+        let mut buf = [0; MAX_NAME_LEN];
+        let best = suffixes(q.qname.fold_into(&mut buf)).find_map(|s| self.stubs.get(s).copied());
         match best {
             Some(upstream) => {
                 ctx.telemetry.incr("dns.stub_domain.redirect");

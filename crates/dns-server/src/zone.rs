@@ -1,6 +1,7 @@
 //! Authoritative zone data and lookup semantics.
 
-use dns_wire::{Name, NameId, RData, Record, RrClass, RrType};
+use dns_wire::name::{key_is_subdomain_of, suffixes, MAX_LABELS, MAX_NAME_LEN};
+use dns_wire::{Name, RData, Record, RrClass, RrType};
 use std::collections::HashMap;
 
 /// The result of an authoritative lookup.
@@ -33,17 +34,16 @@ pub enum LookupResult {
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
-    apex_id: NameId,
-    /// Owner names are interned: the store is keyed and walked by
-    /// [`NameId`], so lookups never build `canonical()` strings.
-    records: HashMap<NameId, Vec<Record>>,
+    /// Records by folded owner name ([`Name::fold_into`]), so lookups
+    /// probe with a stack-buffer key and never build `canonical()`
+    /// strings.
+    records: HashMap<Box<[u8]>, Vec<Record>>,
 }
 
 impl Zone {
     /// An empty zone rooted at `apex`.
     pub fn new(apex: Name) -> Self {
         Zone {
-            apex_id: apex.id(),
             apex,
             records: HashMap::new(),
         }
@@ -67,7 +67,7 @@ impl Zone {
             self.apex
         );
         self.records
-            .entry(record.name.id())
+            .entry(key(&record.name))
             .or_default()
             .push(record);
         self
@@ -131,7 +131,7 @@ impl Zone {
         // Glue may live outside the zone cut; store it regardless (it is
         // served in the additional section of referrals only).
         self.records
-            .entry(ns_name.id())
+            .entry(key(&ns_name))
             .or_default()
             .push(Record::new(ns_name, RrClass::In, ttl, RData::A(ns_addr)));
         self
@@ -148,48 +148,42 @@ impl Zone {
     }
 
     /// Looks up `qname`/`qtype`.
-    // detlint: allow-item(hot-index) — `cuts` is a MAX_LABELS-sized
-    // stack array and `ncuts` counts parent-chain steps of a name, which
-    // the wire format caps at MAX_LABELS; the slice below reads `..ncuts`.
     pub fn lookup(&self, qname: &Name, qtype: RrType) -> LookupResult {
-        let qid = qname.id();
-        if !qid.is_subdomain_of(self.apex_id) {
+        if !qname.is_subdomain_of(&self.apex) {
             return LookupResult::NotAuthoritative;
         }
+        let mut buf = [0; MAX_NAME_LEN];
+        let qkey = qname.fold_into(&mut buf);
+        // Key buffer for names found in records (glue, CNAME targets).
+        let mut other = [0; MAX_NAME_LEN];
+        let apex_key_len = self.apex.encoded_len() - 1;
         // Delegation check: walk from the apex child toward qname; the
         // first NS cut strictly between apex and qname wins (unless the
         // query is for the cut's NS records themselves at the apex). The
-        // walk happens in id space: the suffix chain is a stack array of
-        // `u32`s, not a Vec of cloned `Name`s.
-        let mut cuts = [NameId::ROOT; dns_wire::name::MAX_LABELS];
+        // candidates are suffixes of qname's folded key, collected on
+        // the stack and visited apex-side first.
+        let mut cuts: [&[u8]; MAX_LABELS] = [&[]; MAX_LABELS];
         let mut ncuts = 0;
-        let mut cut = qid;
-        while cut != self.apex_id && cut != NameId::ROOT {
-            cuts[ncuts] = cut;
+        let below_apex = suffixes(qkey).take_while(|s| s.len() > apex_key_len);
+        for (slot, cut) in cuts.iter_mut().zip(below_apex) {
+            *slot = cut;
             ncuts += 1;
-            match cut.parent() {
-                Some(p) => cut = p,
-                None => break,
-            }
         }
-        for &candidate in cuts[..ncuts].iter().rev() {
-            // apex-side first
-            if candidate == qid && qtype == RrType::Ns {
+        for &candidate in cuts.get(..ncuts).unwrap_or_default().iter().rev() {
+            if candidate.len() == qkey.len() && qtype == RrType::Ns {
                 break; // asking for the delegation itself: answer below
             }
-            if let Some(recs) = self.records.get(&candidate) {
+            if let Some(recs) = self.records.get(candidate) {
                 let ns: Vec<Record> = recs
                     .iter()
                     .filter(|r| r.rrtype() == RrType::Ns)
                     .cloned()
                     .collect();
-                if !ns.is_empty() && candidate != self.apex_id {
+                if !ns.is_empty() {
                     let mut glue = Vec::new();
                     for n in &ns {
                         if let RData::Ns(target) = &n.rdata {
-                            if let Some(g) =
-                                target.lookup_id().and_then(|t| self.records.get(&t))
-                            {
+                            if let Some(g) = self.records.get(target.fold_into(&mut other)) {
                                 glue.extend(
                                     g.iter().filter(|r| r.rrtype() == RrType::A).cloned(),
                                 );
@@ -202,9 +196,9 @@ impl Zone {
         }
         // Exact-name lookup with in-zone CNAME chasing.
         let mut answers: Vec<Record> = Vec::new();
-        let mut current = qid;
+        let mut current = qkey;
         for _ in 0..8 {
-            match self.records.get(&current) {
+            match self.records.get(current) {
                 Some(recs) => {
                     let typed: Vec<Record> = recs
                         .iter()
@@ -221,13 +215,8 @@ impl Zone {
                             answers.push(c.clone());
                             if let RData::Cname(target) = &c.rdata {
                                 if target.is_subdomain_of(&self.apex) {
-                                    if let Some(t) = target.lookup_id() {
-                                        current = t;
-                                        continue;
-                                    }
-                                    // In-zone target nobody ever stored:
-                                    // surface the chain collected so far.
-                                    return LookupResult::Answer(answers);
+                                    current = target.fold_into(&mut other);
+                                    continue;
                                 }
                             }
                             // Chain leaves the zone: surface what we have.
@@ -261,9 +250,14 @@ impl Zone {
 
     /// "Empty non-terminal" check: a name exists if any record owner is
     /// at or below it.
-    fn name_exists(&self, name: NameId) -> bool {
-        self.records.keys().any(|&n| n.is_subdomain_of(name))
+    fn name_exists(&self, name: &[u8]) -> bool {
+        self.records.keys().any(|k| key_is_subdomain_of(k, name))
     }
+}
+
+/// The records-map key of an owner name.
+fn key(name: &Name) -> Box<[u8]> {
+    name.fold_into(&mut [0; MAX_NAME_LEN]).into()
 }
 
 #[cfg(test)]

@@ -95,9 +95,10 @@ proptest! {
         cache.insert(&name, RrType::A, vec![rec], SimTime::ZERO);
         let probe = SimTime::ZERO + SimDuration::from_secs(probe_offset);
         match cache.get(&name, RrType::A, probe) {
-            Some((recs, rcode)) => {
+            Some(hit) => {
                 prop_assert!(probe_offset < u64::from(ttl), "served after expiry");
-                prop_assert_eq!(rcode, Rcode::NoError);
+                prop_assert_eq!(hit.rcode, Rcode::NoError);
+                let recs: Vec<Record> = hit.decayed_records().collect();
                 // Served TTL never exceeds remaining lifetime.
                 prop_assert!(u64::from(recs[0].ttl) <= u64::from(ttl) - probe_offset
                     || recs[0].ttl == 1);
@@ -137,7 +138,7 @@ proptest! {
         let addr = Ipv4Addr::from(octets);
         let rec = Record::new(name.clone(), RrClass::In, ttl, RData::A(addr));
         cache.insert(&name, RrType::A, vec![rec], SimTime::ZERO);
-        let (recs, _) = cache.get(&name, RrType::A, SimTime::ZERO).unwrap();
-        prop_assert_eq!(recs[0].rdata.as_a(), Some(addr));
+        let hit = cache.get(&name, RrType::A, SimTime::ZERO).unwrap();
+        prop_assert_eq!(hit.records[0].rdata.as_a(), Some(addr));
     }
 }

@@ -54,7 +54,6 @@
 pub mod edns;
 pub mod error;
 pub mod header;
-pub mod intern;
 pub mod message;
 pub mod name;
 pub mod presentation;
@@ -65,7 +64,6 @@ pub mod wire;
 pub use edns::{ClientSubnet, EdnsOption, Opt};
 pub use error::WireError;
 pub use header::{Header, Opcode, Rcode};
-pub use intern::NameId;
 pub use message::{Message, Question, CLASSIC_UDP_PAYLOAD};
 pub use name::Name;
 pub use presentation::PresentationError;

@@ -1,7 +1,6 @@
 //! Domain names: parsing, comparison and wire encoding with compression.
 
 use crate::error::WireError;
-use crate::intern::{self, NameId};
 use crate::wire::{Reader, Writer};
 use std::fmt;
 
@@ -20,10 +19,16 @@ pub const MAX_LABELS: usize = (MAX_NAME_LEN - 1) / 2;
 /// message can still construct inside already-read bytes.
 pub const MAX_POINTER_HOPS: usize = 32;
 
-/// A fully-qualified domain name, stored as a sequence of labels.
+/// A fully-qualified domain name, stored as its uncompressed wire form.
 ///
 /// Names compare and hash case-insensitively, as RFC 1035 §2.3.3 requires,
 /// but preserve the case they were created with for display.
+///
+/// Maps that need that case-insensitive identity key a name on its
+/// folded form ([`Name::fold_into`]): the wire labels, lowercased. Each
+/// ancestor's key is a suffix of the name's key ([`suffixes`]), so a
+/// zone-cut or stub-domain walk slices one stack buffer instead of
+/// building parent names.
 ///
 /// ```
 /// use dns_wire::Name;
@@ -32,15 +37,19 @@ pub const MAX_POINTER_HOPS: usize = 32;
 /// assert_eq!(a, b);
 /// assert!(a.is_subdomain_of(&Name::parse("mycdn.ciab.test").unwrap()));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    /// Length-prefixed labels, leftmost first, without the closing root
+    /// octet (so the root name owns no heap).
+    wire: Box<[u8]>,
 }
 
 impl Name {
     /// The root name (zero labels, encoded as a single zero octet).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            wire: Box::default(),
+        }
     }
 
     /// Parses presentation format (`"www.example.com"`, trailing dot
@@ -51,7 +60,7 @@ impl Name {
         if s.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
+        let mut wire = Vec::with_capacity(s.len() + 1);
         for label in s.split('.') {
             if label.is_empty() {
                 return Err(WireError::EmptyName);
@@ -64,81 +73,74 @@ impl Name {
                     return Err(WireError::InvalidLabelByte(b));
                 }
             }
-            labels.push(label.as_bytes().to_vec());
+            wire.push(label.len() as u8);
+            wire.extend_from_slice(label.as_bytes());
         }
-        let name = Name { labels };
-        let encoded = name.encoded_len();
-        if encoded > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(encoded));
-        }
-        Ok(name)
+        Name::from_wire(wire)
     }
 
-    /// Builds a name from raw labels (used by the decoder).
-    fn from_labels(labels: Vec<Vec<u8>>) -> Result<Self, WireError> {
-        let name = Name { labels };
-        let encoded = name.encoded_len();
+    /// Wraps length-prefixed labels, enforcing the 255-octet name limit.
+    fn from_wire(wire: Vec<u8>) -> Result<Self, WireError> {
+        let encoded = wire.len() + 1;
         if encoded > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(encoded));
         }
-        Ok(name)
+        Ok(Name {
+            wire: wire.into_boxed_slice(),
+        })
     }
 
     /// Number of labels (the root has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Iterates over the labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
-    }
-
-    /// Raw label storage, for the interner.
-    pub(crate) fn label_slices(&self) -> &[Vec<u8>] {
-        &self.labels
-    }
-
-    /// Interns this name (and its parent chain), returning its
-    /// process-global case-folded id.
-    pub fn id(&self) -> NameId {
-        NameId::intern(self)
-    }
-
-    /// The interned id of this name if it has ever been interned; never
-    /// allocates or grows the intern table.
-    pub fn lookup_id(&self) -> Option<NameId> {
-        NameId::lookup(self)
+        let mut rest: &[u8] = &self.wire;
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (label, after) = tail.split_at_checked(usize::from(len))?;
+            rest = after;
+            Some(label)
+        })
     }
 
     /// Length of the uncompressed wire encoding, including the root octet.
     pub fn encoded_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len() + 1
+    }
+
+    /// Writes the folded form into `buf` and returns it: the wire labels
+    /// with ASCII letters lowercased, no root octet. Two names are equal
+    /// exactly when their folded forms are, so it is the key for
+    /// case-insensitive maps. `buf` must hold `encoded_len() - 1`
+    /// bytes, which a `[u8; MAX_NAME_LEN]` always does.
+    pub fn fold_into<'b>(&self, buf: &'b mut [u8]) -> &'b [u8] {
+        debug_assert!(buf.len() >= self.wire.len(), "fold buffer too short");
+        for (dst, &src) in buf.iter_mut().zip(self.wire.iter()) {
+            *dst = src.to_ascii_lowercase();
+        }
+        buf.get(..self.wire.len()).unwrap_or(buf)
     }
 
     /// True if `self` equals `ancestor` or sits below it in the tree.
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
-            return false;
-        }
-        self.labels
-            .iter()
-            .rev()
-            .zip(ancestor.labels.iter().rev())
-            .all(|(a, b)| eq_ignore_case(a, b))
+        suffix_with_len(&self.wire, ancestor.wire.len())
+            .is_some_and(|s| s.eq_ignore_ascii_case(&ancestor.wire))
     }
 
     /// Returns the parent name (one label removed), or `None` at the root.
     pub fn parent(&self) -> Option<Name> {
-        self.labels.get(1..).map(|rest| Name {
-            labels: rest.to_vec(),
-        })
+        suffixes(&self.wire)
+            .nth(1)
+            .map(|rest| Name { wire: rest.into() })
     }
 
     /// Prepends `label` to produce a child name.
@@ -149,20 +151,20 @@ impl Name {
         if label.len() > MAX_LABEL_LEN {
             return Err(WireError::LabelTooLong(label.len()));
         }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_bytes().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        Name::from_labels(labels)
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        wire.push(label.len() as u8);
+        wire.extend_from_slice(label.as_bytes());
+        wire.extend_from_slice(&self.wire);
+        Name::from_wire(wire)
     }
 
-    /// Canonical lowercase presentation with a trailing dot; the key used
-    /// for case-insensitive map lookups and compression.
+    /// Canonical lowercase presentation with a trailing dot.
     pub fn canonical(&self) -> String {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return ".".to_string();
         }
         let mut s = String::with_capacity(self.encoded_len());
-        for l in &self.labels {
+        for l in self.labels() {
             for &b in l {
                 s.push(b.to_ascii_lowercase() as char);
             }
@@ -179,49 +181,39 @@ impl Name {
     /// such as `DefaultHasher`; the selection logic in `cdn-sim` depends
     /// on it for output-identical address rotation.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, state: &mut H) {
-        if self.labels.is_empty() {
+        if self.is_root() {
             state.write_u8(b'.');
-        } else {
-            for l in &self.labels {
-                for &b in l {
-                    state.write_u8(b.to_ascii_lowercase());
-                }
-                state.write_u8(b'.');
+        }
+        for l in self.labels() {
+            for &b in l {
+                state.write_u8(b.to_ascii_lowercase());
             }
+            state.write_u8(b'.');
         }
         state.write_u8(0xff);
     }
 
     /// Encodes the name, emitting a compression pointer for the longest
-    /// suffix the writer has already seen. Compression state is keyed by
-    /// interned [`NameId`]s, so no suffix strings are built.
-    // detlint: allow-item(hot-index) — `suffix_chain` fills `chain[..n]`
-    // with `n == self.labels.len() <= MAX_LABELS`, and every index below
-    // is bounded by `skip < n` or `i < n`.
+    /// suffix the writer has already written (see [`Writer`]).
     pub fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
-        let mut chain = [NameId::ROOT; MAX_LABELS];
-        let n = intern::suffix_chain(self, &mut chain);
-        // Walk suffixes from the full name downward; at the first suffix
-        // already present in the writer, emit a pointer and stop.
-        for skip in 0..n {
-            if let Some(off) = w.lookup_suffix(chain[skip]) {
-                // Emit the labels before the matched suffix, then a pointer.
-                for (i, label) in self.labels[..skip].iter().enumerate() {
-                    w.record_suffix(chain[i], w.len());
-                    w.write_u8(label.len() as u8);
-                    w.write_bytes(label);
-                }
-                w.write_u16(0xC000 | off);
-                return Ok(());
-            }
+        // Walk suffixes from the full name downward; the first one the
+        // writer already holds ends the literal part with a pointer.
+        let pointer = suffixes(&self.wire)
+            .take_while(|s| !s.is_empty())
+            .find_map(|s| Some((w.find_suffix(s)?, self.wire.len() - s.len())));
+        let literal = match pointer {
+            Some((_, literal_len)) => self.wire.get(..literal_len).unwrap_or_default(),
+            None => &self.wire,
+        };
+        let base = w.len();
+        for s in suffixes(literal).take_while(|s| !s.is_empty()) {
+            w.record_label(base + literal.len() - s.len());
         }
-        // No suffix matched: emit every label then the root octet.
-        for (i, label) in self.labels.iter().enumerate() {
-            w.record_suffix(chain[i], w.len());
-            w.write_u8(label.len() as u8);
-            w.write_bytes(label);
+        w.write_bytes(literal);
+        match pointer {
+            Some((off, _)) => w.write_u16(0xC000 | off),
+            None => w.write_u8(0),
         }
-        w.write_u8(0);
         Ok(())
     }
 
@@ -243,10 +235,9 @@ impl Name {
     ///   limit *as they are read*, so a hostile message can never make
     ///   the decoder buffer more than [`MAX_NAME_LEN`] octets.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        // Accumulated encoded length (length octet + label octets per
-        // label, plus the closing root octet).
-        let mut octets = 1usize;
+        let mut wire = [0u8; MAX_NAME_LEN];
+        // Label octets (length + bytes) gathered into `wire` so far.
+        let mut used = 0usize;
         let mut hops = 0usize;
         // After the first pointer we read from a clone so the caller's
         // cursor stays just past the pointer.
@@ -259,12 +250,20 @@ impl Name {
                     if len == 0 {
                         break;
                     }
-                    octets += 1 + usize::from(len);
+                    // Encoded length so far: these labels plus the root.
+                    let octets = used + 1 + usize::from(len) + 1;
                     if octets > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong(octets));
                     }
-                    let bytes = cursor.read_bytes(len as usize, "name label")?;
-                    labels.push(bytes.to_vec());
+                    let bytes = cursor.read_bytes(usize::from(len), "name label")?;
+                    if let Some((first, rest)) = wire
+                        .get_mut(used..octets - 1)
+                        .and_then(<[u8]>::split_first_mut)
+                    {
+                        *first = len;
+                        rest.copy_from_slice(bytes);
+                    }
+                    used = octets - 1;
                     if !jumped {
                         *r = cursor.clone();
                     }
@@ -294,25 +293,50 @@ impl Name {
         if !jumped {
             *r = cursor;
         }
-        Name::from_labels(labels)
+        Ok(Name {
+            wire: wire.get(..used).unwrap_or_default().into(),
+        })
+    }
+
+    /// The length-prefixed labels, without the root octet.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.wire
     }
 }
 
-fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+/// Every suffix of wire-form labels that starts at a label boundary:
+/// `wire` itself, then each ancestor in turn, ending with the empty
+/// root. Applied to a folded key ([`Name::fold_into`]) it yields the
+/// keys of the name's whole parent chain without allocating.
+pub fn suffixes(wire: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut next = Some(wire);
+    std::iter::from_fn(move || {
+        let cur = next?;
+        next = cur
+            .split_first()
+            .and_then(|(&len, tail)| tail.get(usize::from(len)..));
+        Some(cur)
+    })
+}
+
+/// Folded-key form of [`Name::is_subdomain_of`]: true if `key` equals
+/// `ancestor` or one of its label-boundary suffixes does.
+pub fn key_is_subdomain_of(key: &[u8], ancestor: &[u8]) -> bool {
+    suffix_with_len(key, ancestor.len()) == Some(ancestor)
+}
+
+/// The label-boundary suffix of `wire` that is `len` bytes long.
+fn suffix_with_len(wire: &[u8], len: usize) -> Option<&[u8]> {
+    suffixes(wire)
+        .find(|s| s.len() <= len)
+        .filter(|s| s.len() == len)
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| eq_ignore_case(a, b))
+        // Length octets are ≤ 63, below every ASCII letter, so folding
+        // never touches them: equal folded bytes mean equal labels.
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
@@ -320,12 +344,11 @@ impl Eq for Name {}
 
 impl std::hash::Hash for Name {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            for &b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-            state.write_u8(b'.');
+        for &b in self.wire.iter() {
+            state.write_u8(b.to_ascii_lowercase());
         }
+        // The root octet makes the hashed form prefix-free.
+        state.write_u8(0);
     }
 }
 
@@ -339,43 +362,54 @@ impl Ord for Name {
     /// Canonical DNS ordering: compare label sequences right to left,
     /// case-insensitively (RFC 4034 §6.1 without the DNSSEC baggage).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return std::cmp::Ordering::Equal,
-                (None, Some(_)) => return std::cmp::Ordering::Less,
-                (Some(_), None) => return std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => {
-                    // Case-folded lexicographic label compare, in place.
-                    let ord = x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()))
-                        .find(|o| o.is_ne())
-                        .unwrap_or_else(|| x.len().cmp(&y.len()));
-                    match ord {
-                        std::cmp::Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
+        let mut a: [&[u8]; MAX_LABELS] = [&[]; MAX_LABELS];
+        let mut b: [&[u8]; MAX_LABELS] = [&[]; MAX_LABELS];
+        let a = labels_into(self, &mut a);
+        let b = labels_into(other, &mut b);
+        for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+            let ord = x
+                .iter()
+                .map(u8::to_ascii_lowercase)
+                .cmp(y.iter().map(u8::to_ascii_lowercase));
+            if ord.is_ne() {
+                return ord;
             }
         }
+        a.len().cmp(&b.len())
     }
+}
+
+/// Collects `name`'s labels into `buf`, returning the filled prefix.
+fn labels_into<'a, 'b>(name: &'a Name, buf: &'b mut [&'a [u8]; MAX_LABELS]) -> &'b [&'a [u8]] {
+    let mut n = 0;
+    for (slot, label) in buf.iter_mut().zip(name.labels()) {
+        *slot = label;
+        n += 1;
+    }
+    buf.get(..n).unwrap_or_default()
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
+        use fmt::Write;
+        if self.is_root() {
+            return f.write_char('.');
         }
-        for l in &self.labels {
+        for l in self.labels() {
             for &b in l {
-                write!(f, "{}", b as char)?;
+                f.write_char(b as char)?;
             }
-            write!(f, ".")?;
+            f.write_char('.')?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Name")
+            .field(&format_args!("{self}"))
+            .finish()
     }
 }
 
@@ -674,6 +708,47 @@ mod tests {
     fn canonical_lowercases_and_ends_with_dot() {
         assert_eq!(Name::parse("A.B").unwrap().canonical(), "a.b.");
         assert_eq!(Name::root().canonical(), ".");
+    }
+
+    #[test]
+    fn folded_key_is_identity_and_its_suffixes_are_the_parents() {
+        let mut a = [0u8; MAX_NAME_LEN];
+        let mut b = [0u8; MAX_NAME_LEN];
+        let name = Name::parse("Video.Demo1.MyCdn.ciab.test").unwrap();
+        let key = name.fold_into(&mut a);
+        assert_eq!(key, b"\x05video\x05demo1\x05mycdn\x04ciab\x04test");
+        assert_eq!(
+            key,
+            Name::parse("video.demo1.mycdn.ciab.TEST")
+                .unwrap()
+                .fold_into(&mut b)
+        );
+        let mut parent = Some(name.clone());
+        for suffix in suffixes(key) {
+            let p = parent.take().unwrap();
+            assert_eq!(suffix, p.fold_into(&mut b));
+            assert!(key_is_subdomain_of(key, suffix));
+            assert!(name.is_subdomain_of(&p));
+            parent = p.parent();
+        }
+        assert!(parent.is_none(), "the walk ends at the root");
+        assert!(!key_is_subdomain_of(b"\x04ciab\x04test", key));
+        // A suffix must start at a label boundary.
+        assert!(!key_is_subdomain_of(b"\x02xa\x01b", b"\x01a\x01b"));
+        assert!(!key_is_subdomain_of(b"\x03a\x01b", b"\x01b"));
+    }
+
+    #[test]
+    fn dot_bearing_label_does_not_collide_with_split_labels() {
+        // Wire-decoded labels may contain dot octets: ["a.b"] and
+        // ["a", "b"] print alike but are different names.
+        let embedded = Name::decode(&mut Reader::new(&[3, b'a', b'.', b'b', 0])).unwrap();
+        let split = Name::decode(&mut Reader::new(&[1, b'a', 1, b'b', 0])).unwrap();
+        assert_eq!(embedded.to_string(), split.to_string());
+        assert_ne!(embedded, split);
+        let mut a = [0u8; MAX_NAME_LEN];
+        let mut b = [0u8; MAX_NAME_LEN];
+        assert_ne!(embedded.fold_into(&mut a), split.fold_into(&mut b));
     }
 
     #[test]

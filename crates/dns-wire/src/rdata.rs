@@ -235,10 +235,7 @@ impl RData {
 /// Encodes a name label-by-label with no compression pointer (RDATA names
 /// must stay position-independent; see the type-level docs).
 fn encode_name_uncompressed(n: &Name, w: &mut Writer) {
-    for label in n.labels() {
-        w.write_u8(label.len() as u8);
-        w.write_bytes(label);
-    }
+    w.write_bytes(n.wire());
     w.write_u8(0);
 }
 

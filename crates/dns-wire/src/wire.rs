@@ -2,12 +2,11 @@
 //!
 //! [`Reader`] tracks a position in a borrowed byte slice and can follow
 //! RFC 1035 compression pointers without losing its place. [`Writer`]
-//! appends to an owned buffer and remembers where each name suffix was
+//! appends to an owned buffer and remembers where each literal label was
 //! written so later names can emit compression pointers.
 
 use crate::error::WireError;
-use crate::intern::NameId;
-use std::collections::HashMap;
+use crate::name::MAX_POINTER_HOPS;
 
 /// Maximum encoded message size (16-bit length fields everywhere).
 pub const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
@@ -86,17 +85,18 @@ impl<'a> Reader<'a> {
 
 /// An appending encoder with name-compression state.
 ///
-/// The compression map records, for every name suffix already emitted, the
-/// offset of its first label. A later name whose suffix matches emits a
-/// two-byte pointer instead of repeating the labels — the behaviour real
-/// resolvers rely on to keep responses under the UDP payload limit.
+/// The writer remembers the offset of every literal label a name wrote,
+/// in emit order. The name that starts there (its labels, continued
+/// through any pointer) is a suffix a later name can point at instead
+/// of repeating it — the behaviour real resolvers rely on to keep
+/// responses under the UDP payload limit. A lookup compares the wanted
+/// suffix, case-insensitively, against the bytes at each offset in
+/// turn, so the first offset a suffix was written at wins.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    /// Interned suffix id → offset of its first label. Ids are
-    /// case-folded, so the map preserves the case-insensitive matching
-    /// the old string keys provided — without allocating them.
-    names: HashMap<NameId, u16>,
+    /// Offsets of literal labels, in emit order (hence ascending).
+    labels: Vec<u16>,
 }
 
 impl Writer {
@@ -154,26 +154,66 @@ impl Writer {
         self.buf[at + 1] = b[1];
     }
 
-    /// Rolls the buffer back to `len` bytes, forgetting any compression
-    /// suffix recorded at or past the cut — a later name must never emit
-    /// a pointer into bytes that no longer exist. Used by the bounded
+    /// Rolls the buffer back to `len` bytes, forgetting any label
+    /// recorded at or past the cut — a later name must never emit a
+    /// pointer into bytes that no longer exist. Used by the bounded
     /// message encoder to drop a whole record that overflowed the
     /// payload budget.
     pub(crate) fn truncate(&mut self, len: usize) {
         self.buf.truncate(len);
-        self.names.retain(|_, &mut off| usize::from(off) < len);
+        self.labels.retain(|&off| usize::from(off) < len);
     }
 
-    /// Looks up a previously written name suffix.
-    pub(crate) fn lookup_suffix(&self, key: NameId) -> Option<u16> {
-        self.names.get(&key).copied()
+    /// Records that a literal label starts at `offset`. Offsets beyond
+    /// the 14-bit pointer range are not recorded (pointers cannot reach
+    /// them).
+    pub(crate) fn record_label(&mut self, offset: usize) {
+        if let Ok(off) = u16::try_from(offset) {
+            if off <= 0x3FFF {
+                self.labels.push(off);
+            }
+        }
     }
 
-    /// Records that the suffix `key` starts at `offset`. Offsets beyond the
-    /// 14-bit pointer range are not recorded (pointers cannot reach them).
-    pub(crate) fn record_suffix(&mut self, key: NameId, offset: usize) {
-        if offset <= 0x3FFF {
-            self.names.entry(key).or_insert(offset as u16);
+    /// The first recorded offset where the name `suffix` (wire labels
+    /// without the root octet) was written, compared case-insensitively.
+    pub(crate) fn find_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        self.labels
+            .iter()
+            .copied()
+            .find(|&off| self.holds_at(usize::from(off), suffix))
+    }
+
+    /// True if the name written at `pos`, followed through pointers,
+    /// equals `suffix` case-insensitively.
+    fn holds_at(&self, mut pos: usize, mut suffix: &[u8]) -> bool {
+        let mut hops = 0;
+        loop {
+            let Some(&len) = self.buf.get(pos) else {
+                return false;
+            };
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = self.buf.get(pos + 1) else {
+                    return false;
+                };
+                hops += 1;
+                if hops > MAX_POINTER_HOPS {
+                    return false;
+                }
+                pos = usize::from(len & 0x3F) << 8 | usize::from(lo);
+                continue;
+            }
+            if len == 0 {
+                return suffix.is_empty();
+            }
+            let n = 1 + usize::from(len);
+            match (self.buf.get(pos..pos + n), suffix.split_at_checked(n)) {
+                (Some(written), Some((label, rest))) if written.eq_ignore_ascii_case(label) => {
+                    pos += n;
+                    suffix = rest;
+                }
+                _ => return false,
+            }
         }
     }
 }
@@ -227,13 +267,72 @@ mod tests {
         assert_eq!(w.finish().unwrap(), vec![0xBE, 0xEF, 0xFF]);
     }
 
+    fn encode(w: &mut Writer, name: &str) {
+        crate::Name::parse(name).unwrap().encode(w).unwrap();
+    }
+
+    #[test]
+    fn first_offset_of_a_suffix_wins() {
+        let mut w = Writer::new();
+        // The same name written literally twice (different case), as a
+        // non-compressing writer would: both label runs are recorded.
+        for at in [0, 12] {
+            assert_eq!(w.len(), at);
+            let bytes = if at == 0 {
+                b"\x02ab\x07example\x00"
+            } else {
+                b"\x02AB\x07EXAMPLE\x00"
+            };
+            for off in [0, 3] {
+                w.record_label(at + off);
+            }
+            w.write_bytes(bytes);
+        }
+        assert_eq!(w.find_suffix(b"\x02aB\x07example"), Some(0));
+        assert_eq!(w.find_suffix(b"\x07eXample"), Some(3));
+        encode(&mut w, "Ab.Example");
+        assert_eq!(&w.buf[24..], &[0xC0, 0x00]);
+    }
+
+    #[test]
+    fn pointer_into_a_pointer_continued_suffix() {
+        let mut w = Writer::new();
+        encode(&mut w, "www.example.com"); // www@0 example@4 com@12
+        encode(&mut w, "mail.example.com"); // mail@17, then -> 4
+        assert_eq!(&w.buf[17..24], b"\x04mail\xC0\x04");
+        // "mail.example.com" lives at 17 as one label plus a pointer; a
+        // child of it points there rather than repeating "mail".
+        encode(&mut w, "x.MAIL.example.com");
+        assert_eq!(&w.buf[24..], b"\x01x\xC0\x11");
+        assert_eq!(w.find_suffix(b"\x04mail\x07example\x03com"), Some(17));
+        assert_eq!(w.find_suffix(b"\x04mail\x07example\x03org"), None);
+    }
+
     #[test]
     fn suffix_offsets_beyond_pointer_range_are_ignored() {
-        let key = crate::Name::parse("a.example").unwrap().id();
         let mut w = Writer::new();
-        w.record_suffix(key, 0x4000);
-        assert_eq!(w.lookup_suffix(key), None);
-        w.record_suffix(key, 0x3FFF);
-        assert_eq!(w.lookup_suffix(key), Some(0x3FFF));
+        w.write_bytes(&[0; 0x3FFF]);
+        encode(&mut w, "a.example"); // a@0x3FFF, example@0x4001
+        assert_eq!(w.labels, vec![0x3FFF]);
+        assert_eq!(w.find_suffix(b"\x01a\x07example"), Some(0x3FFF));
+        assert_eq!(w.find_suffix(b"\x07example"), None);
+        let before = w.len();
+        encode(&mut w, "b.example");
+        assert_eq!(w.len() - before, 11, "no pointer: written in full");
+    }
+
+    #[test]
+    fn truncate_forgets_cut_offsets() {
+        let mut w = Writer::new();
+        encode(&mut w, "keep.example");
+        let mark = w.len();
+        encode(&mut w, "gone.test");
+        assert_eq!(w.find_suffix(b"\x04gone\x04test"), Some(mark as u16));
+        w.truncate(mark);
+        assert_eq!(w.find_suffix(b"\x04gone\x04test"), None);
+        assert_eq!(w.find_suffix(b"\x04test"), None);
+        encode(&mut w, "gone.test");
+        assert_eq!(w.len() - mark, 11, "rewritten in full, no dangling pointer");
+        assert_eq!(w.find_suffix(b"\x07example"), Some(5));
     }
 }

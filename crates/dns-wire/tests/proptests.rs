@@ -4,6 +4,7 @@
 //! decodes back to itself, names compare case-insensitively, and the
 //! decoder never panics on arbitrary bytes.
 
+use dns_wire::name::{key_is_subdomain_of, suffixes, MAX_NAME_LEN};
 use dns_wire::{
     ClientSubnet, Message, Name, Opt, Question, RData, Rcode, Record, RrClass, RrType, WireError,
 };
@@ -470,8 +471,8 @@ proptest! {
     }
 }
 
-/// Mixed-case names over a small pool of shared suffixes — the shape the
-/// interner must get right: distinct names colliding on suffixes, equal
+/// Mixed-case names over a small pool of shared suffixes — the shape
+/// name keys must get right: distinct names colliding on suffixes, equal
 /// names differing only in case.
 fn arb_shared_suffix_name() -> impl Strategy<Value = Name> {
     (
@@ -505,54 +506,56 @@ fn arb_shared_suffix_name() -> impl Strategy<Value = Name> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // NameId interning must be semantically identical to the old
-    // `canonical()`-String keying: id equality == canonical equality,
-    // and id-space suffix matching == `Name::is_subdomain_of`.
+    // Folded keys must be semantically identical to the old
+    // `canonical()`-String keying: key equality == canonical equality,
+    // and finding one key among the other's label-boundary suffixes ==
+    // `Name::is_subdomain_of`.
     #[test]
-    fn interning_matches_string_keying(
+    fn folded_keys_match_string_keying(
         names in proptest::collection::vec(arb_shared_suffix_name(), 2..10),
     ) {
+        let (mut buf_a, mut buf_b) = ([0; MAX_NAME_LEN], [0; MAX_NAME_LEN]);
         for a in &names {
+            let ka = a.fold_into(&mut buf_a);
             for b in &names {
+                let kb = b.fold_into(&mut buf_b);
                 let same = a.canonical() == b.canonical();
+                prop_assert_eq!(ka == kb, same, "key vs canonical equality diverged for {} / {}", a, b);
+                prop_assert_eq!(a == b, same, "Name vs canonical equality diverged for {} / {}", a, b);
                 prop_assert_eq!(
-                    a.id() == b.id(), same,
-                    "id vs canonical equality diverged for {a} / {b}"
+                    suffixes(ka).any(|s| s == kb), a.is_subdomain_of(b),
+                    "subdomain semantics diverged for {} under {}", a, b
                 );
-                prop_assert_eq!(
-                    a.id().is_subdomain_of(b.id()), a.is_subdomain_of(b),
-                    "subdomain semantics diverged for {a} under {b}"
-                );
+                prop_assert_eq!(key_is_subdomain_of(ka, kb), a.is_subdomain_of(b));
             }
         }
     }
 
-    // A map keyed by (NameId, qtype) must hit and miss exactly like one
-    // keyed by (canonical String, qtype) under a random insert/get
+    // A map keyed by (folded name, qtype) must hit and miss exactly like
+    // one keyed by (canonical String, qtype) under a random insert/get
     // schedule — the cache's key-scheme equivalence, without the cache.
     #[test]
     fn cache_key_schemes_hit_and_miss_identically(
         names in proptest::collection::vec(arb_shared_suffix_name(), 1..8),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64),
     ) {
-        use dns_wire::NameId;
         use std::collections::HashMap;
         let mut by_string: HashMap<(String, u16), u32> = HashMap::new();
-        let mut by_id: HashMap<(NameId, u16), u32> = HashMap::new();
+        let mut by_key: HashMap<(Box<[u8]>, u16), u32> = HashMap::new();
+        let mut buf = [0; MAX_NAME_LEN];
         for (i, &(sel, op)) in ops.iter().enumerate() {
             let name = &names[sel as usize % names.len()];
             let qtype = if op & 1 == 0 { 1u16 } else { 28 };
+            let key = (Box::from(name.fold_into(&mut buf)), qtype);
             if op & 2 == 0 {
                 by_string.insert((name.canonical(), qtype), i as u32);
-                by_id.insert((name.id(), qtype), i as u32);
+                by_key.insert(key, i as u32);
             } else {
                 let s = by_string.get(&(name.canonical(), qtype)).copied();
-                let d = name
-                    .lookup_id()
-                    .and_then(|id| by_id.get(&(id, qtype)).copied());
+                let d = by_key.get(&key).copied();
                 prop_assert_eq!(s, d, "hit/miss diverged for {} type {}", name, qtype);
             }
-            prop_assert_eq!(by_string.len(), by_id.len());
+            prop_assert_eq!(by_string.len(), by_key.len());
         }
     }
 }
