@@ -195,12 +195,8 @@ impl Plugin for TrafficRouterPlugin {
             };
             let cache = self.select(&q.qname, client);
             ctx.telemetry.incr("cdns.answered");
-            ctx.telemetry.mark(
-                u64::from(query.header.id),
-                ctx.now,
-                "cdns.select",
-                cache.to_string(),
-            );
+            ctx.telemetry
+                .mark(u64::from(query.header.id), ctx.now, "cdns.select", cache);
             resp.answers.push(Record::new(
                 q.qname.clone(),
                 RrClass::In,

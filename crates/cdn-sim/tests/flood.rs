@@ -6,8 +6,10 @@
 //! allocations made and the live heap bytes, so each test reads only
 //! its own thread's figures.
 //!
-//! Only out-of-zone names are sent: a name under the hosted zone also
-//! leaves a telemetry breadcrumb per query, which is bounded separately.
+//! Both halves of a flood are covered: names outside every zone, which
+//! the chain turns away, and unique names under the hosted zone, which
+//! are forwarded to the C-DNS and churn the L-DNS cache. No stub opens a
+//! trace here, so neither leaves a breadcrumb behind.
 
 use cdn_sim::{MultiCdnRouter, PoolChoice, ServeTopology};
 use dns_server::{DnsCache, Plugin, PluginDecision, QueryCtx};
@@ -75,35 +77,55 @@ fn allocs() -> u64 {
 
 const CLIENT_V4: Ipv4Addr = Ipv4Addr::LOCALHOST;
 const CLIENT: IpAddr = IpAddr::V4(CLIENT_V4);
-const WARMUP: usize = 1_000;
-const FLOOD: usize = 40_000;
 
 fn flood_name(i: usize) -> Name {
     Name::parse(&format!("r{i}.flood.example.org")).expect("flood name parses")
 }
 
-#[test]
-fn out_of_zone_flood_leaves_the_live_heap_flat() {
+/// Serves `warmup` unique names through the default topology's engine,
+/// then `flood` more, and asserts that the second batch grew the live
+/// heap by less than one byte per name.
+fn assert_flood_leaves_the_live_heap_flat(
+    warmup: usize,
+    flood: usize,
+    name: impl Fn(usize) -> Name,
+) {
     let mut engine = ServeTopology::default().engine();
     let mut serve = |i: usize| {
-        let query = Message::query(i as u16, flood_name(i), RrType::A);
+        let query = Message::query(i as u16, name(i), RrType::A);
         if let Some(response) = engine.resolve(SimTime::ZERO, CLIENT, 5000, &query) {
             response.encode_bounded(1232).expect("response encodes");
         }
     };
-    for i in 0..WARMUP {
+    for i in 0..warmup {
         serve(i);
     }
     let before = live_bytes();
-    for i in WARMUP..WARMUP + FLOOD {
+    for i in warmup..warmup + flood {
         serve(i);
     }
     let grown = live_bytes() - before;
-    let per_name = grown as f64 / FLOOD as f64;
+    let per_name = grown as f64 / flood as f64;
     assert!(
         per_name < 1.0,
-        "live heap grew {grown} B over {FLOOD} unique names ({per_name:.1} B/name)"
+        "live heap grew {grown} B over {flood} unique names ({per_name:.1} B/name)"
     );
+}
+
+#[test]
+fn out_of_zone_flood_leaves_the_live_heap_flat() {
+    assert_flood_leaves_the_live_heap_flat(1_000, 40_000, flood_name);
+}
+
+/// Unique names under the hosted zone: each misses the L-DNS cache, is
+/// answered by the C-DNS and evicts an older entry. The warm-up passes
+/// both the cache capacity and the 16-bit transaction-id space, where
+/// one-time table growth settles; the flood is twice as long, so a
+/// `Vec` doubling cannot hide inside it.
+#[test]
+fn in_zone_flood_leaves_the_live_heap_flat() {
+    let topo = ServeTopology::default();
+    assert_flood_leaves_the_live_heap_flat(70_000, 140_000, |i| topo.content_name(i));
 }
 
 #[test]

@@ -192,10 +192,14 @@ pub const HOT_PATH_FILES: &[&str] = &[
 /// callees must not allocate. These are PR 3's cached-hit path — the
 /// invariant `bench_hotpath` measures dynamically (0 allocs/query on
 /// cached hits) is enforced statically over this closure by rule
-/// `hot-alloc`. Miss/insert paths allocate by design and are not roots.
+/// `hot-alloc`. Miss/insert paths allocate by design and are not roots;
+/// the expiry-heap compaction an insert may run is.
 pub const HOT_ALLOC_ROOTS: &[(&str, &str)] = &[
     // The cached-hit lookup: probe, TTL check, LRU bump, shared answer.
     ("crates/dns-server/src/cache.rs", "get"),
+    // Expiry-heap compaction runs on the miss path's insert and must
+    // rebuild the heap in place.
+    ("crates/dns-server/src/cache.rs", "compact_expiry"),
     // Folded-key algebra: the stack-buffer fold every map probe builds
     // its key with, and the label-boundary suffix walk.
     ("crates/dns-wire/src/name.rs", "fold_into"),

@@ -23,7 +23,9 @@
 //! * Expired entries are purged via a min-expiry binary heap with lazy
 //!   invalidation (per-slot generation stamps), replacing the old
 //!   full-map `retain` at capacity inserts with amortized O(log n) work
-//!   per entry.
+//!   per entry. Once the heap holds more than twice the capacity in
+//!   nodes, the stale ones are dropped in place, so LRU churn cannot
+//!   grow it.
 //! * Answers are shared `Arc<[Record]>` sets; TTL decay is applied when
 //!   the answer is serialized into a response, not by deep-cloning the
 //!   record vector inside the cache.
@@ -136,6 +138,11 @@ impl Store {
                 i
             }
         }
+    }
+
+    /// True when slot `i` is live at generation `stamp`.
+    fn is_current(&self, i: u32, stamp: u64) -> bool {
+        self.slots.get(i as usize).is_some_and(|s| s.live && s.stamp == stamp)
     }
 
     /// Unlinks `i` from the LRU list (no-op links afterwards).
@@ -371,6 +378,17 @@ impl DnsCache {
                 self.expiry.push(Reverse((expires, i, stamp)));
             }
         }
+        if self.expiry.len() > self.capacity.saturating_mul(2) {
+            self.compact_expiry();
+        }
+    }
+
+    /// Drops, in place, the expiry nodes of evicted or re-stamped slots,
+    /// which would otherwise stay until their expiry passed (forever
+    /// under a fixed clock). Purge order is unchanged.
+    fn compact_expiry(&mut self) {
+        let store = &self.store;
+        self.expiry.retain(|&Reverse((_, i, stamp))| store.is_current(i, stamp));
     }
 
     /// Removes every entry with `expires <= now`, driven by the expiry
@@ -381,8 +399,7 @@ impl DnsCache {
                 break;
             }
             self.expiry.pop();
-            let s = &self.store.slots[i as usize];
-            if s.live && s.stamp == stamp {
+            if self.store.is_current(i, stamp) {
                 self.remove_slot(i);
             }
         }
@@ -814,6 +831,26 @@ mod tests {
         c.insert(&n("c.test"), RrType::A, vec![a_record("c.test", 300)], at(3));
         assert!(c.get(&n("a.test"), RrType::A, at(50)).is_some());
         assert!(c.get(&n("b.test"), RrType::A, at(50)).is_none());
+    }
+
+    #[test]
+    fn lru_churn_keeps_the_expiry_heap_bounded() {
+        let cap = 8;
+        let mut c = DnsCache::new(cap);
+        for i in 0..50 * cap {
+            let name = format!("churn{i}.test");
+            c.insert(&n(&name), RrType::A, vec![a_record(&name, 30)], at(0));
+            assert!(
+                c.expiry.len() <= 2 * cap + 1,
+                "{} expiry nodes after {} inserts into a {cap}-entry cache",
+                c.expiry.len(),
+                i + 1
+            );
+        }
+        assert_eq!(c.len(), cap);
+        c.purge_expired(at(30));
+        assert!(c.is_empty(), "purge must still drop every expired entry");
+        assert!(c.expiry.is_empty());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! cores too, and each [`Action::Upstream`] is answered synchronously by
 //! the backend at that address. Silence (no backend, an ignored query,
 //! a hop nested past `MAX_FORWARD_HOPS`) times out at once. Backends see
-//! the client's address and transaction id. Hot path: no query may panic
-//! a shard.
+//! the client's address and, as under the netsim driver, the upstream
+//! transaction id the forwarding core allocated. Hot path: no query may
+//! panic a shard.
 
 use crate::plugin::Plugin;
 use crate::resolver::{Action, Resolver, ServerConfig};
@@ -152,7 +153,7 @@ impl ServeEngine {
         core.on_query(now, client, (), query, &mut out);
         let mut answer = None;
         while let Some(action) = out.pop() {
-            let (upstream, mut up, timer) = match action {
+            let (upstream, up, timer) = match action {
                 Action::Reply((), response) => {
                     answer = Some(response);
                     continue;
@@ -164,10 +165,6 @@ impl ServeEngine {
                     ..
                 } => (upstream, query, timer),
             };
-            // The hop runs under the client's transaction id, so every
-            // breadcrumb of one query lands in one trace; the reply gets
-            // the upstream id back.
-            let upstream_id = std::mem::replace(&mut up.header.id, query.header.id);
             let backend = self.cores.iter().position(|(ip, _)| *ip == Some(upstream));
             let reply = match backend {
                 Some(j) if depth < MAX_FORWARD_HOPS => {
@@ -178,8 +175,7 @@ impl ServeEngine {
             let Some((_, core)) = self.cores.get_mut(i) else {
                 break;
             };
-            if let Some(mut reply) = reply {
-                reply.header.id = upstream_id;
+            if let Some(reply) = reply {
                 core.on_reply(now, reply, &mut out);
             }
             // Silence, or a reply the core could not match.

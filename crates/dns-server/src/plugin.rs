@@ -22,9 +22,10 @@ pub struct QueryCtx {
     /// Client source port.
     pub client_port: u16,
     /// Where plugins record counters and resolution breadcrumbs. A
-    /// default handle is a private no-op store, so tests and callers
-    /// that don't collect telemetry construct it with
-    /// `Telemetry::default()`.
+    /// breadcrumb lands only on a trace the query's stub opened; on any
+    /// other id it is dropped unformatted. A default handle is a private
+    /// store, so tests and callers that don't collect telemetry
+    /// construct it with `Telemetry::default()`.
     pub telemetry: Telemetry,
 }
 

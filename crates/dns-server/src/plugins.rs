@@ -109,12 +109,8 @@ impl Plugin for CachePlugin {
         match self.cache.get(&q.qname, q.qtype, ctx.now) {
             Some(hit) => {
                 ctx.telemetry.incr("dns.cache.hit");
-                ctx.telemetry.mark(
-                    u64::from(query.header.id),
-                    ctx.now,
-                    "cache.hit",
-                    q.qname.canonical(),
-                );
+                ctx.telemetry
+                    .mark(u64::from(query.header.id), ctx.now, "cache.hit", &q.qname);
                 let mut resp = Message::response_to(query).with_rcode(hit.rcode);
                 resp.answers = hit.decayed_records().collect();
                 resp.header.recursion_available = true;
@@ -260,7 +256,7 @@ impl Plugin for StubDomainPlugin {
                     u64::from(query.header.id),
                     ctx.now,
                     "stub_domain.redirect",
-                    upstream.to_string(),
+                    upstream,
                 );
                 PluginDecision::Forward { upstream }
             }
@@ -358,7 +354,7 @@ impl Plugin for ForwardPlugin {
                 u64::from(query.header.id),
                 ctx.now,
                 "forward.failover",
-                upstream.to_string(),
+                upstream,
             );
         }
         PluginDecision::Forward { upstream }

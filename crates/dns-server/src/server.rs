@@ -56,7 +56,7 @@ impl DnsServer {
     }
 
     /// Feeds one event to the core and carries out its actions. Only a
-    /// client query (`query_id`) opens exchanges; each gets a breadcrumb.
+    /// client query (`query_id`) opens exchanges; each marks its trace.
     fn drive(
         &mut self,
         ctx: &mut NodeContext<'_>,
@@ -75,9 +75,8 @@ impl DnsServer {
                     timeout,
                 } => {
                     if let Some(id) = query_id {
-                        let crumb = upstream.to_string();
                         let tel = &self.core.telemetry;
-                        tel.mark(u64::from(id), ctx.now(), "server.forward", crumb);
+                        tel.mark(u64::from(id), ctx.now(), "server.forward", upstream);
                     }
                     // An unencodable query is never sent; its timeout
                     // still fires, so the client gets SERVFAIL.

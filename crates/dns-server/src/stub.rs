@@ -152,10 +152,11 @@ impl StubEngine {
         SimDuration::from_nanos(ns).min(self.max_backoff)
     }
 
-    /// Routes this engine's telemetry into `t`. Breadcrumbs are keyed by
-    /// the engine's DNS transaction ids — the same ids the P-GW tap sees
-    /// in the wire payloads, which is what makes trace-vs-tap
-    /// cross-validation possible.
+    /// Routes this engine's telemetry into `t`. The engine is the only
+    /// component that opens traces: one per issued query, keyed by its
+    /// DNS transaction id — the same id the P-GW tap sees in the wire
+    /// payloads, which is what makes trace-vs-tap cross-validation
+    /// possible. Every other mark lands on such a trace or nowhere.
     pub fn set_telemetry(&mut self, t: Telemetry) {
         self.telemetry = t;
     }
@@ -199,7 +200,7 @@ impl StubEngine {
         self.pending.insert(id, pending);
         self.telemetry.incr("stub.query");
         self.telemetry
-            .mark(u64::from(id), ctx.now(), "stub.issue", name.canonical());
+            .open(u64::from(id), ctx.now(), "stub.issue", &name);
         match &strategy {
             SendStrategy::Unicast(server) => {
                 self.transmit(ctx, id, *server);
@@ -284,12 +285,8 @@ impl StubEngine {
                     // waiting for its timer before trying the fallback.
                     p.fallback_sent = true;
                     self.telemetry.incr("stub.servfail");
-                    self.telemetry.mark(
-                        u64::from(id),
-                        ctx.now(),
-                        "stub.servfail",
-                        fallback.to_string(),
-                    );
+                    self.telemetry
+                        .mark(u64::from(id), ctx.now(), "stub.servfail", fallback);
                     self.transmit(ctx, id, fallback);
                     ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
                     return None;
@@ -303,12 +300,8 @@ impl StubEngine {
                     // cloud resolver.
                     p.fallback_sent = true;
                     self.telemetry.incr("stub.servfail");
-                    self.telemetry.mark(
-                        u64::from(id),
-                        ctx.now(),
-                        "stub.servfail",
-                        cloud.to_string(),
-                    );
+                    self.telemetry
+                        .mark(u64::from(id), ctx.now(), "stub.servfail", cloud);
                     self.transmit(ctx, id, cloud);
                     ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
                     return None;
@@ -359,7 +352,7 @@ impl StubEngine {
             u64::from(msg.header.id),
             ctx.now(),
             "stub.answer",
-            dgram.src.to_string(),
+            dgram.src,
         );
         self.outcomes.push(outcome.clone());
         Some(outcome)
@@ -380,7 +373,7 @@ impl StubEngine {
                 p.fallback_sent = true;
                 self.telemetry.incr("stub.fallback");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.fallback", fallback.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.fallback", fallback);
                 self.transmit(ctx, id, fallback);
                 ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
                 None
@@ -392,7 +385,7 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", server.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.retry", server);
                 self.transmit(ctx, id, server);
                 ctx.set_timer(wait, TAG_STUB | u64::from(id));
                 None
@@ -403,8 +396,12 @@ impl StubEngine {
                 let attempt = p.attempt;
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
-                self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", format!("x{}", servers.len()));
+                self.telemetry.mark(
+                    u64::from(id),
+                    ctx.now(),
+                    "stub.retry",
+                    format_args!("x{}", servers.len()),
+                );
                 for s in &servers {
                     self.transmit(ctx, id, *s);
                 }
@@ -424,7 +421,7 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", fallback.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.retry", fallback);
                 self.transmit(ctx, id, primary);
                 self.transmit(ctx, id, fallback);
                 ctx.set_timer(wait, TAG_STUB | u64::from(id));
@@ -444,7 +441,7 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", anycast.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.retry", anycast);
                 self.transmit(ctx, id, anycast);
                 if engaged {
                     self.transmit(ctx, id, cloud);

@@ -13,9 +13,10 @@
 //! * **histograms** — collections of [`SimDuration`] observations keyed
 //!   the same way (`"stub.rtt"`, `"pgw.behind_gw"`);
 //! * **traces** — a span-like [`ResolutionTrace`] per DNS transaction
-//!   id: timestamped [`Breadcrumb`]s dropped at each hop, from which a
-//!   latency decomposition can be re-derived *independently* of the
-//!   packet tap and cross-checked against it.
+//!   id the stub opened: timestamped [`Breadcrumb`]s dropped at each
+//!   hop, from which a latency decomposition can be re-derived
+//!   *independently* of the packet tap and cross-checked against it. A
+//!   mark on an id nobody opened is dropped unformatted.
 //!
 //! Everything is keyed by [`BTreeMap`], so iteration order — and any
 //! serialization built on it — is deterministic. The handle is an
@@ -26,6 +27,7 @@
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 /// Counter and histogram store keyed by static metric names.
@@ -111,20 +113,6 @@ pub struct ResolutionTrace {
 }
 
 impl ResolutionTrace {
-    /// A trace for `id` with no crumbs yet.
-    pub fn new(id: u64) -> Self {
-        ResolutionTrace { id, crumbs: Vec::new() }
-    }
-
-    /// Appends a breadcrumb.
-    pub fn mark(&mut self, at: SimTime, point: &'static str, detail: impl Into<String>) {
-        self.crumbs.push(Breadcrumb {
-            at,
-            point,
-            detail: detail.into(),
-        });
-    }
-
     /// Timestamps of every crumb at `point`, optionally restricted to a
     /// `[from, to]` window.
     pub fn times_at<'a>(
@@ -196,14 +184,22 @@ impl Telemetry {
         self.inner.borrow().metrics.counter(name)
     }
 
-    /// Drops a breadcrumb on the trace for transaction `id`.
-    pub fn mark(&self, id: u64, at: SimTime, point: &'static str, detail: impl Into<String>) {
-        self.inner
-            .borrow_mut()
-            .traces
-            .entry(id)
-            .or_insert_with(|| ResolutionTrace::new(id))
-            .mark(at, point, detail);
+    /// Opens the trace for transaction `id` — or continues it, when an
+    /// earlier transaction under the same id left one — and drops the
+    /// first breadcrumb. Only a transaction's originator opens.
+    pub fn open(&self, id: u64, at: SimTime, point: &'static str, detail: impl fmt::Display) {
+        let fresh = ResolutionTrace { id, crumbs: Vec::new() };
+        self.inner.borrow_mut().traces.entry(id).or_insert(fresh);
+        self.mark(id, at, point, detail);
+    }
+
+    /// Drops a breadcrumb on the trace for transaction `id` if one is
+    /// open; otherwise does nothing, and `detail` is never formatted.
+    pub fn mark(&self, id: u64, at: SimTime, point: &'static str, detail: impl fmt::Display) {
+        if let Some(trace) = self.inner.borrow_mut().traces.get_mut(&id) {
+            let detail = detail.to_string();
+            trace.crumbs.push(Breadcrumb { at, point, detail });
+        }
     }
 
     /// Runs `f` against the metrics registry (read-only harvest).
@@ -211,20 +207,16 @@ impl Telemetry {
         f(&self.inner.borrow().metrics)
     }
 
-    /// The trace recorded for transaction `id`, if any crumbs exist.
+    /// The trace opened for transaction `id`, if any.
     pub fn trace(&self, id: u64) -> Option<ResolutionTrace> {
         self.inner.borrow().traces.get(&id).cloned()
-    }
-
-    /// Every recorded trace, in transaction-id order.
-    pub fn traces(&self) -> Vec<ResolutionTrace> {
-        self.inner.borrow().traces.values().cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn at(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -276,7 +268,7 @@ mod tests {
     #[test]
     fn trace_marks_and_window_queries() {
         let t = Telemetry::new();
-        t.mark(7, at(10), "pgw.uplink", "");
+        t.open(7, at(10), "pgw.uplink", "");
         t.mark(7, at(30), "pgw.uplink", "retry");
         t.mark(7, at(50), "pgw.downlink", "");
         let trace = t.trace(7).unwrap();
@@ -293,13 +285,49 @@ mod tests {
         assert!(t.trace(8).is_none());
     }
 
+    /// Counts how often it is formatted.
+    struct Counted<'a>(&'a Cell<u32>);
+
+    impl fmt::Display for Counted<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("counted")
+        }
+    }
+
     #[test]
-    fn traces_come_back_in_id_order() {
+    fn a_mark_on_an_unopened_id_is_dropped_unformatted() {
         let t = Telemetry::new();
-        t.mark(9, at(1), "a", "");
-        t.mark(2, at(2), "a", "");
-        t.mark(5, at(3), "a", "");
-        let ids: Vec<u64> = t.traces().iter().map(|tr| tr.id).collect();
-        assert_eq!(ids, vec![2, 5, 9]);
+        let formatted = Cell::new(0);
+        t.mark(3, at(1), "cache.hit", Counted(&formatted));
+        assert!(t.trace(3).is_none());
+        assert_eq!(formatted.get(), 0, "a dropped crumb must not be formatted");
+        t.open(3, at(2), "stub.issue", "");
+        t.mark(3, at(3), "cache.hit", Counted(&formatted));
+        assert_eq!(formatted.get(), 1);
+        assert_eq!(t.trace(3).unwrap().crumbs[1].detail, "counted");
+    }
+
+    #[test]
+    fn reopening_an_id_continues_its_trace() {
+        let t = Telemetry::new();
+        t.open(5, at(1), "stub.issue", "first");
+        t.mark(5, at(2), "stub.answer", "");
+        t.open(5, at(3), "stub.issue", "second");
+        let points: Vec<(&str, String)> = t
+            .trace(5)
+            .unwrap()
+            .crumbs
+            .into_iter()
+            .map(|c| (c.point, c.detail))
+            .collect();
+        assert_eq!(
+            points,
+            vec![
+                ("stub.issue", "first".to_string()),
+                ("stub.answer", String::new()),
+                ("stub.issue", "second".to_string()),
+            ]
+        );
     }
 }

@@ -95,21 +95,20 @@ impl PgwNat {
         self.telemetry = t;
     }
 
-    /// Drops DNS-crossing breadcrumbs for `dgram`, keyed by the DNS
-    /// transaction id in its payload (the tap's `id_hint`).
+    /// Drops DNS-crossing breadcrumbs for `dgram` on the trace the UE's
+    /// stub opened for the DNS transaction id in its payload (the tap's
+    /// `id_hint`); with no such trace, nothing is recorded.
     fn mark_dns_crossing(&mut self, now: SimTime, dgram: &Datagram) {
         let Some(id) = TapRecord::hint_of(&dgram.payload) else {
             return;
         };
         let id = u64::from(id);
         if dgram.dst_port == 53 {
-            self.telemetry
-                .mark(id, now, "pgw.uplink", dgram.dst.to_string());
+            self.telemetry.mark(id, now, "pgw.uplink", dgram.dst);
             self.first_uplink.entry(id).or_insert(now);
         }
         if dgram.src_port == 53 {
-            self.telemetry
-                .mark(id, now, "pgw.downlink", dgram.src.to_string());
+            self.telemetry.mark(id, now, "pgw.downlink", dgram.src);
             if let Some(&up) = self.first_uplink.get(&id) {
                 self.telemetry.observe("pgw.behind_gw", now.since(up));
             }
