@@ -11,8 +11,10 @@
 //! instead of simulated ones.
 //!
 //! * [`serve`] — the sharded serving loop: per-shard (or shared)
-//!   sockets, batched receive, bounded encode (`encode_bounded`, TC on
-//!   truncation), graceful shutdown into a merged [`serve::ServeReport`].
+//!   sockets, a spin-then-park receive loop (nonblocking while busy,
+//!   a bounded blocking receive once idle), bounded encode
+//!   (`encode_bounded`, TC on truncation), graceful shutdown into a
+//!   merged [`serve::ServeReport`].
 //! * [`loadgen`] — a closed-loop, Zipf-mix load generator for driving
 //!   the fleet over loopback (`mecdnsd smoke` and the loopback
 //!   tests are built on it).

@@ -9,17 +9,19 @@
 //!   reuseport's kernel-side spraying without any socket options.
 //! * **shared socket** — one socket, `try_clone`d into every shard;
 //!   the kernel wakes an arbitrary shard per datagram. One port, but
-//!   contended.
+//!   contended, and the clones share one nonblocking flag, so these
+//!   shards always block.
 //!
 //! Each shard builds its own [`dns_server::ServeEngine`] from the
 //! shared (plain-data) [`ServeTopology`] — engines hold `Rc` telemetry
-//! and boxed plugins, so they never cross threads. Shards drain up to
-//! [`BATCH`] datagrams per wakeup, decode, resolve and answer each, and
-//! recycle their datagram buffers, so a warm shard allocates only what
-//! message assembly itself needs. Every response leaves through
-//! [`Message::encode_bounded`] against the client's advertised EDNS
-//! payload budget — truncation sets the TC bit, never an overlong
-//! datagram.
+//! and boxed plugins, so they never cross threads. A busy shard keeps
+//! its socket nonblocking and serves each datagram straight out of its
+//! receive buffer: one receive and one send per query. After [`SPIN`]
+//! of empty receives it parks in a blocking receive bounded by
+//! [`POLL`], so the socket changes mode between idle and busy, not per
+//! datagram. Every response leaves through [`Message::encode_bounded`]
+//! against the client's advertised EDNS payload budget — truncation
+//! sets the TC bit, never an overlong datagram.
 //!
 //! This file is on the resolution hot path (`hot-panic` / `hot-index`):
 //! a hostile datagram must never panic a shard.
@@ -40,14 +42,15 @@ use std::time::Duration;
 /// truncate hostile jumbo queries into plausible-looking short ones.
 const RECV_BUF: usize = 65_535;
 
-/// Datagrams drained per shard wakeup: after one blocking receive, the
-/// shard opportunistically drains up to this many already-queued
-/// datagrams before serving the batch.
-const BATCH: usize = 16;
-
-/// Blocking-receive bound, which is also how often a shard notices the
-/// shutdown flag.
+/// Blocking-receive bound, which is also how often a parked shard
+/// notices the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long a shard keeps retrying empty nonblocking receives before it
+/// parks in a blocking one. Pays off only if the next datagram comes
+/// within it and the shard has a CPU to spin on; a later one costs up
+/// to this much more CPU (EXPERIMENTS.md, "Serving throughput").
+const SPIN: Duration = Duration::from_micros(50);
 
 /// Histogram name for per-query serve latency (receive → send).
 pub const LATENCY_METRIC: &str = "serve.latency";
@@ -104,6 +107,9 @@ pub struct ServeReport {
     pub truncated: u64,
     /// Socket-level send/receive failures.
     pub io_errors: u64,
+    /// Times a shard fell back to the blocking receive after [`SPIN`]
+    /// without a datagram (never, with a shared socket).
+    pub parks: u64,
     /// Shard threads that died instead of reporting.
     pub crashed_shards: u64,
     /// Responses by rcode.
@@ -124,6 +130,7 @@ impl ServeReport {
         self.encode_errors += other.encode_errors;
         self.truncated += other.truncated;
         self.io_errors += other.io_errors;
+        self.parks += other.parks;
         self.crashed_shards += other.crashed_shards;
         self.rcodes.merge(&other.rcodes);
         self.metrics.merge(&other.metrics);
@@ -143,7 +150,7 @@ impl ServeReport {
         format!(
             "served {} queries in {:.2}s ({:.0} qps), latency p50 {:.1}us p99 {:.1}us, \
              rcodes noerror={} nxdomain={} servfail={} refused={} other={}, \
-             decode_errors={} encode_errors={} truncated={} ignored={} dropped={} io_errors={}",
+             decode_errors={} encode_errors={} truncated={} ignored={} dropped={} io_errors={} parks={}",
             self.queries,
             secs,
             qps,
@@ -160,6 +167,7 @@ impl ServeReport {
             self.ignored,
             self.dropped,
             self.io_errors,
+            self.parks,
         )
     }
 
@@ -209,7 +217,7 @@ impl ServerHandle {
         // Release pairs with the shards' Acquire loads: everything this
         // thread wrote before raising the flag (config swaps, cache
         // state) is visible to a shard by the time it sees `true` and
-        // starts its drain-and-exit path.
+        // exits.
         self.stop.store(true, Ordering::Release);
         let mut total = ServeReport::default();
         for shard in self.shards {
@@ -255,11 +263,12 @@ pub fn spawn(config: ServeConfig) -> io::Result<ServerHandle> {
     let stop = Arc::new(AtomicBool::new(false));
     let clock = WallClock::start();
     let mut handles = Vec::with_capacity(sockets.len());
+    let exclusive = !config.shared_socket;
     for sock in sockets {
         let topology = config.topology.clone();
         let stop_flag = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
-            shard_loop(sock, &topology, clock, &stop_flag)
+            shard_loop(sock, exclusive, &topology, clock, &stop_flag)
         }));
     }
     Ok(ServerHandle {
@@ -270,9 +279,12 @@ pub fn spawn(config: ServeConfig) -> io::Result<ServerHandle> {
     })
 }
 
-/// One shard: receive in batches, serve, repeat until told to stop.
+/// One shard: spin on a nonblocking socket while datagrams keep coming,
+/// park in a blocking receive once they stop, until told to stop. Only
+/// an `exclusive` socket (no clones) ever leaves the blocking receive.
 fn shard_loop(
     sock: UdpSocket,
+    exclusive: bool,
     topology: &ServeTopology,
     clock: WallClock,
     stop: &AtomicBool,
@@ -281,59 +293,45 @@ fn shard_loop(
     let mut engine = topology.engine().with_telemetry(telemetry.clone());
     let mut report = ServeReport::default();
     let mut recv_buf = vec![0u8; RECV_BUF];
-    // Slot buffers cycle between `batch` and `pool`, so a warm shard
-    // reuses its datagram storage instead of allocating per packet.
-    let mut batch: Vec<(Vec<u8>, SocketAddr)> = Vec::with_capacity(BATCH);
-    let mut pool: Vec<Vec<u8>> = Vec::with_capacity(BATCH);
-    // Raised when this shard's socket is beyond recovery; the shard
-    // serves what it already drained and retires alone — the rest of
-    // the fleet keeps serving.
-    let mut retire = false;
-    while !retire && !stop.load(Ordering::Acquire) {
-        // First datagram: blocking, bounded by POLL so shutdown is
-        // always noticed. Transient per-datagram failures — a Linux
-        // ECONNREFUSED surfaced by an ICMP unreachable for an earlier
-        // send, an EINTR — are counted and skipped, never fatal.
+    // Busy (not parked): the socket is nonblocking, so each datagram
+    // costs one receive and one send. If the switch fails the shard
+    // simply serves from blocking receives.
+    let mut parked = !exclusive || sock.set_nonblocking(true).is_err();
+    // When this shard last served a datagram, on `clock`.
+    let mut busy_at = clock.elapsed_ns();
+    while !stop.load(Ordering::Acquire) {
+        // Transient per-datagram failures — a Linux ECONNREFUSED
+        // surfaced by an ICMP unreachable for an earlier send, an
+        // EINTR — are counted and skipped, never fatal, and are not
+        // activity: an erroring socket parks like an idle one.
         match sock.recv_from(&mut recv_buf) {
-            Ok((len, peer)) => stash(&recv_buf, len, peer, &mut batch, &mut pool),
-            Err(e) if is_timeout(&e) => continue,
-            Err(_) => {
-                report.io_errors += 1;
+            Ok((len, peer)) => {
+                if let Some(dgram) = recv_buf.get(..len) {
+                    serve_one(&mut engine, &sock, &clock, &telemetry, &mut report, dgram, peer);
+                }
+                busy_at = clock.elapsed_ns();
+                if parked && exclusive {
+                    parked = sock.set_nonblocking(true).is_err();
+                }
                 continue;
             }
+            Err(e) if !is_timeout(&e) => report.io_errors += 1,
+            Err(_) => {}
         }
-        // Drain whatever else the kernel already queued, without
-        // blocking, then restore the polling timeout. Transient errors
-        // mid-drain are skipped and counted like on the blocking path,
-        // with a bound so a persistently erroring socket cannot spin
-        // the shard inside one wakeup.
-        if sock.set_nonblocking(true).is_ok() {
-            let mut skipped = 0;
-            while batch.len() < BATCH {
-                match sock.recv_from(&mut recv_buf) {
-                    Ok((len, peer)) => stash(&recv_buf, len, peer, &mut batch, &mut pool),
-                    Err(e) if is_timeout(&e) => break, // queue drained
-                    Err(_) => {
-                        report.io_errors += 1;
-                        skipped += 1;
-                        if skipped >= BATCH {
-                            break;
-                        }
-                    }
-                }
-            }
+        if !parked && Duration::from_nanos(clock.elapsed_ns().saturating_sub(busy_at)) >= SPIN {
             if sock.set_nonblocking(false).is_err() {
-                // Cannot restore blocking mode: this shard's receive
-                // loop would spin. Serve what we have, then retire this
-                // shard without stopping the fleet.
+                // Cannot block again, so this shard would spin forever:
+                // retire it alone, and let the rest of the fleet serve.
                 report.io_errors += 1;
-                retire = true;
+                break;
             }
+            report.parks += 1;
+            parked = true;
+            continue;
         }
-        for (dgram, peer) in batch.drain(..) {
-            serve_one(&mut engine, &sock, &clock, &telemetry, &mut report, &dgram, peer);
-            pool.push(dgram);
-        }
+        // Still spinning, or a POLL timeout. Yield, not spin_loop: a
+        // runnable client on this CPU gets to send the next query.
+        std::thread::yield_now();
     }
     report.queries = engine.queries;
     report.ignored = engine.ignored;
@@ -341,22 +339,6 @@ fn shard_loop(
     report.rcodes = engine.rcodes.clone();
     telemetry.with_metrics(|m| report.metrics.merge(m));
     report
-}
-
-/// Copies the received datagram into a recycled slot buffer.
-fn stash(
-    recv_buf: &[u8],
-    len: usize,
-    peer: SocketAddr,
-    batch: &mut Vec<(Vec<u8>, SocketAddr)>,
-    pool: &mut Vec<Vec<u8>>,
-) {
-    let mut slot = pool.pop().unwrap_or_default();
-    slot.clear();
-    if let Some(dgram) = recv_buf.get(..len) {
-        slot.extend_from_slice(dgram);
-    }
-    batch.push((slot, peer));
 }
 
 /// Decode → resolve → bounded encode → send, for one datagram.
@@ -398,12 +380,27 @@ fn serve_one(
     if tc_bit_set(&bytes) {
         report.truncated += 1;
     }
-    match sock.send_to(&bytes, peer) {
+    match send_reply(sock, &bytes, peer) {
         Ok(_) => report.responses += 1,
         Err(_) => report.io_errors += 1,
     }
-    let served_in = clock.now() - t0;
-    telemetry.observe(LATENCY_METRIC, served_in);
+    telemetry.observe(LATENCY_METRIC, clock.now() - t0);
+}
+
+/// Sends one response. Only a busy shard's nonblocking socket says
+/// `WouldBlock` (send buffer full): wait for room and send again, so
+/// back-pressure delays an answer but never drops it. Should the switch
+/// back fail, the loop's next empty receive parks the shard as usual.
+fn send_reply(sock: &UdpSocket, bytes: &[u8], peer: SocketAddr) -> io::Result<usize> {
+    match sock.send_to(bytes, peer) {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            sock.set_nonblocking(false)?;
+            let sent = sock.send_to(bytes, peer);
+            let _ = sock.set_nonblocking(true);
+            sent
+        }
+        sent => sent,
+    }
 }
 
 /// The largest response datagram this client can take: its advertised
@@ -475,6 +472,47 @@ mod tests {
         assert_eq!(report.rcodes.noerror, 1);
         assert_eq!(report.decode_errors, 0);
         assert!(report.latency_percentile_ns(0.5).unwrap() > 0);
+    }
+
+    #[test]
+    fn an_idle_shard_parks() {
+        let config = ServeConfig::default();
+        let topo = config.topology.clone();
+        let handle = spawn(config).unwrap();
+        // Both sleeps are far longer than SPIN: the shard parks once
+        // before the query arrives, and must park again after serving it.
+        std::thread::sleep(Duration::from_millis(50));
+        let resp = ask(&client(), handle.local_addrs()[0], 3, topo.content_name(1));
+        assert_eq!(resp.header.id, 3);
+        std::thread::sleep(Duration::from_millis(50));
+        let report = handle.stop();
+        assert_eq!(report.responses, 1);
+        assert!(
+            report.parks >= 2,
+            "shard kept spinning after serving: {report:?}"
+        );
+        assert!(report.stats_line(1).contains("parks="));
+    }
+
+    #[test]
+    fn a_busy_shard_stays_awake() {
+        // Back-to-back queries from one client come well within SPIN of
+        // each other: the shard must park rarely, not once per query.
+        let config = ServeConfig::default();
+        let topo = config.topology.clone();
+        let handle = spawn(config).unwrap();
+        let target = handle.local_addrs()[0];
+        let sock = client();
+        for id in 0..500u16 {
+            ask(&sock, target, id, topo.content_name(usize::from(id % 64)));
+        }
+        let report = handle.stop();
+        assert_eq!(report.responses, 500);
+        assert!(
+            report.parks < 250,
+            "{} parks over 500 back-to-back queries",
+            report.parks
+        );
     }
 
     #[test]
@@ -552,6 +590,9 @@ mod tests {
         let report = handle.stop();
         assert_eq!(report.responses, 4);
         assert_eq!(report.crashed_shards, 0);
+        // The clones share one nonblocking flag, so no shard may switch
+        // it: shared-socket shards never leave the blocking receive.
+        assert_eq!(report.parks, 0);
     }
 
     #[cfg(target_os = "linux")]
@@ -560,8 +601,8 @@ mod tests {
         // Linux reports an async ICMP port-unreachable as ECONNREFUSED
         // on the next receive of a *connected* UDP socket. Drive the
         // real shard loop over such a socket: the error must be skipped
-        // and counted, and must never raise the fleet-wide stop flag or
-        // kill the shard.
+        // and counted, and must never raise the fleet-wide stop flag,
+        // kill the shard or wake it from its park.
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         let dead = {
             // Bind-then-drop: a port with provably nobody listening.
@@ -573,20 +614,27 @@ mod tests {
         // Let the ICMP land before the loop's first receive.
         std::thread::sleep(Duration::from_millis(50));
         sock.set_read_timeout(Some(POLL)).unwrap();
+        let prod = sock.try_clone().unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let shard_stop = Arc::clone(&stop);
         let topo = ServeTopology::default();
         let shard = std::thread::spawn(move || {
-            shard_loop(sock, &topo, WallClock::start(), &shard_stop)
+            shard_loop(sock, true, &topo, WallClock::start(), &shard_stop)
         });
-        std::thread::sleep(Duration::from_millis(100));
+        // Keep refusals coming while the shard is parked (the kernel
+        // rate-limits them to about one per millisecond).
+        for _ in 0..20 {
+            std::thread::sleep(Duration::from_millis(5));
+            let _ = prod.send(&[0u8; 12]);
+        }
         assert!(
             !stop.load(Ordering::Relaxed),
             "a transient socket error must not stop the fleet"
         );
         stop.store(true, Ordering::Relaxed);
         let report = shard.join().expect("shard survived the refused receive");
-        assert!(report.io_errors >= 1, "the refused receive was counted");
+        assert!(report.io_errors >= 2, "the refused receives were counted");
+        assert_eq!(report.parks, 1, "an error woke the parked shard");
         assert_eq!(report.queries, 0);
         assert_eq!(report.crashed_shards, 0);
     }
