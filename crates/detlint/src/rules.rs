@@ -189,11 +189,11 @@ pub const HOT_PATH_FILES: &[&str] = &[
 ];
 
 /// The zero-allocation roots: `(file, fn-name)` pairs whose transitive
-/// callees must not allocate. These are PR 3's cached-hit path — the
-/// invariant `bench_hotpath` measures dynamically (0 allocs/query on
-/// cached hits) is enforced statically over this closure by rule
-/// `hot-alloc`. Miss/insert paths allocate by design and are not roots;
-/// the expiry-heap compaction an insert may run is.
+/// callees must not allocate. These are the cached-hit path — the
+/// invariant `a_warm_cache_get_allocates_nothing` measures dynamically
+/// (`crates/mec-cdn/tests/flood.rs`) is enforced statically over this
+/// closure by rule `hot-alloc`. Miss/insert paths allocate by design
+/// and are not roots; the expiry-heap compaction an insert may run is.
 pub const HOT_ALLOC_ROOTS: &[(&str, &str)] = &[
     // The cached-hit lookup: probe, TTL check, LRU bump, shared answer.
     ("crates/dns-server/src/cache.rs", "get"),
@@ -285,9 +285,9 @@ mod tests {
         assert!(fuzz.contains(&RuleId::MapIter), "fuzz summary is output");
         let test_file = rules_for_path("tests/determinism.rs");
         assert_eq!(test_file, vec![RuleId::UnsafeComment]);
-        let bench_bin = rules_for_path("crates/bench/src/bin/repro.rs");
-        assert!(bench_bin.contains(&RuleId::WallClock));
-        assert!(!bench_bin.contains(&RuleId::HotPanic));
+        let repro_bin = rules_for_path("crates/mec-cdn/src/bin/repro.rs");
+        assert!(repro_bin.contains(&RuleId::WallClock));
+        assert!(!repro_bin.contains(&RuleId::HotPanic));
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   the answer is serialized into a response, not by deep-cloning the
 //!   record vector inside the cache.
 //!
-//! The string-keyed reference implementation is kept as
-//! [`naive::DnsCache`] (tests and the `bench-naive` feature only) so the
-//! equivalence suite and the `cache_churn` benchmark can drive both side
-//! by side.
+//! The string-keyed reference implementation is kept, for tests only,
+//! as `naive::DnsCache`: the equivalence suite drives both side by
+//! side, and `timing_gate_cache_churn` holds the new cache to at least
+//! 3× the reference's churn throughput.
 
 use dns_wire::name::MAX_NAME_LEN;
 use dns_wire::{Name, Rcode, Record, RrType};
@@ -451,9 +451,9 @@ impl DnsCache {
 
 /// The string-keyed reference cache: `String` keys, full-map expired purge and an
 /// O(n) LRU victim scan. Kept only as the behavioural reference for the
-/// equivalence tests and the `cache_churn` before/after benchmark.
-#[cfg(any(test, feature = "bench-naive"))]
-pub mod naive {
+/// equivalence tests and the churn timing gate.
+#[cfg(test)]
+mod naive {
     use dns_wire::{Name, Rcode, Record, RrType};
     use netsim::{SimDuration, SimTime};
     use std::collections::HashMap;
@@ -496,11 +496,6 @@ pub mod naive {
         /// Number of entries.
         pub fn len(&self) -> usize {
             self.entries.len()
-        }
-
-        /// True when the cache is empty.
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
         }
 
         /// Stores a positive answer (minimum record TTL governs expiry).
@@ -606,11 +601,6 @@ pub mod naive {
                     None
                 }
             }
-        }
-
-        /// Drops every entry.
-        pub fn clear(&mut self) {
-            self.entries.clear();
         }
     }
 }
@@ -950,5 +940,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The new cache churns at least 3× as fast as the string-keyed
+    /// reference. The working set (1 024 names) is twice the capacity
+    /// (512), so every insert past warm-up evicts: the reference pays an
+    /// O(capacity) victim scan plus a full-map expiry sweep per insert,
+    /// the new cache pops the LRU tail. Both caches run the same
+    /// schedule in one process, so the bound holds on any host; it is
+    /// timed only in release builds (`cargo test --release timing_gate`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing gate: run with --release")]
+    fn timing_gate_cache_churn() {
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        let names: Vec<Name> = (0..1024)
+            .map(|i| n(&format!("host-{i}.pool.mycdn.ciab.test")))
+            .collect();
+        let record = |name: &Name| {
+            vec![Record::new(name.clone(), RrClass::In, 2, RData::A(Ipv4Addr::new(10, 0, 0, 1)))]
+        };
+        // Two rounds over the working set, an insert and a get per name.
+        macro_rules! churn {
+            ($cache:ty) => {
+                || {
+                    let mut cache = <$cache>::new(512);
+                    for (t, name) in (1u64..).zip(names.iter().chain(&names)) {
+                        let now = SimTime::ZERO + SimDuration::from_millis(t);
+                        cache.insert(name, RrType::A, record(name), now);
+                        cache.get(name, RrType::A, now + SimDuration::from_millis(1));
+                    }
+                    black_box(cache.hits + cache.misses);
+                }
+            };
+        }
+        // Nanoseconds per call over 5 calls, after one warm-up call.
+        fn ns_per_call(mut f: impl FnMut()) -> f64 {
+            f();
+            let t0 = Instant::now();
+            for _ in 0..5 {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / 5.0
+        }
+        let new = ns_per_call(churn!(DnsCache));
+        let naive = ns_per_call(churn!(naive::DnsCache));
+        eprintln!("cache churn: {new:.0} ns new, {naive:.0} ns naive ({:.2}x)", naive / new);
+        assert!(
+            naive / new >= 3.0,
+            "cache churn speedup {:.2}x below the 3x floor ({new:.0} vs {naive:.0} ns per run)",
+            naive / new
+        );
     }
 }

@@ -50,7 +50,7 @@ pub mod zone;
 pub use cache::{CacheHit, DnsCache};
 pub use engine::{RcodeCounts, ServeEngine};
 pub use plugin::{Plugin, PluginDecision, QueryCtx};
-pub use resolver::{Action, Resolver, ServerConfig};
+pub use resolver::{Action, Resolver, ServerConfig, DNS_PORT};
 pub use server::DnsServer;
 pub use stub::{QueryOutcome, SendStrategy, StubEngine};
 pub use zone::{LookupResult, Zone};

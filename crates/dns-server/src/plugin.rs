@@ -38,7 +38,7 @@ pub enum PluginDecision {
     /// back to the client (passing through every plugin's
     /// [`Plugin::on_response`]).
     Forward {
-        /// Upstream server address (port 53).
+        /// Upstream server address (port [`crate::DNS_PORT`]).
         upstream: IpAddr,
     },
     /// Resolve iteratively starting from these root servers, then respond.

@@ -11,11 +11,13 @@ use netsim::{Latency, SimDuration, SimTime, Telemetry};
 use std::collections::HashMap;
 use std::net::IpAddr;
 
+/// The UDP port every DNS server listens on: servers take queries on
+/// it and send upstream queries to it, and stubs send to it.
+pub const DNS_PORT: u16 = 53;
+
 /// Tuning for a DNS server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// UDP port served (53 everywhere in this workspace).
-    pub port: u16,
     /// Per-query processing delay (lookup work, plugin chain).
     pub processing: Latency,
     /// Extra processing when the query carries an ECS option — the
@@ -43,7 +45,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            port: 53,
             processing: Latency::UniformMs(0.1, 0.4),
             ecs_processing: Latency::UniformMs(0.05, 0.25),
             attach_ecs: false,
@@ -62,7 +63,7 @@ pub enum Action<R> {
     /// Send the response (id, question and ECS already set) to the
     /// client behind the handle passed to [`Resolver::on_query`].
     Reply(R, Message),
-    /// Send `query` to port 53 of `upstream`, then arm a timer that
+    /// Send `query` to [`DNS_PORT`] of `upstream`, then arm a timer that
     /// calls [`Resolver::on_timeout`] with `timer` after `timeout`.
     /// Timers are never cancelled; stale ones are ignored.
     Upstream {

@@ -5,7 +5,7 @@
 //! core emits them (send, then arm), keeping RNG draws and event order.
 
 use crate::plugin::Plugin;
-use crate::resolver::{Action, Resolver, ServerConfig};
+use crate::resolver::{Action, Resolver, ServerConfig, DNS_PORT};
 use dns_wire::{Message, Rcode};
 use netsim::{Datagram, NodeBehavior, NodeContext, SimTime, Telemetry, TimerToken};
 use std::collections::HashMap;
@@ -81,7 +81,7 @@ impl DnsServer {
                     // An unencodable query is never sent; its timeout
                     // still fires, so the client gets SERVFAIL.
                     if let Ok(bytes) = query.encode() {
-                        ctx.send(upstream, 53, bytes);
+                        ctx.send(upstream, DNS_PORT, bytes);
                     }
                     ctx.set_timer(timeout, TAG_PENDING | timer);
                 }
@@ -111,7 +111,7 @@ impl NodeBehavior for DnsServer {
             return;
         };
         // Responses to our upstream queries come back on ephemeral ports.
-        if dgram.dst_port != self.core.config.port {
+        if dgram.dst_port != DNS_PORT {
             if msg.header.is_response {
                 let now = ctx.now();
                 self.drive(ctx, None, |core, out| core.on_reply(now, msg, out));

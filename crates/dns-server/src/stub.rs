@@ -14,6 +14,7 @@
 //! Every completed query yields a [`QueryOutcome`] carrying the RTT the
 //! paper's figures plot.
 
+use crate::resolver::DNS_PORT;
 use dns_wire::{ClientSubnet, Message, Name, Rcode, RrType};
 use netsim::{Datagram, NodeContext, SimDuration, SimTime, Telemetry};
 use std::collections::HashMap;
@@ -252,7 +253,7 @@ impl StubEngine {
         let Ok(bytes) = q.encode() else {
             return; // unencodable query: drop it, let the timer expire it
         };
-        ctx.send(server, 53, bytes);
+        ctx.send(server, DNS_PORT, bytes);
     }
 
     /// Feeds a datagram to the engine. Returns the completed outcome if

@@ -122,8 +122,8 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Resul
 }
 
 fn main() {
-    // detlint: allow(env-read) — CLI of a measurement harness, outside
-    // any simulation.
+    // detlint: allow(env-read) — CLI argument intake, outside any
+    // simulation.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = Cli::parse(&args).unwrap_or_else(|e| {
         let names: Vec<&str> = SECTIONS.iter().map(|(s, _)| *s).collect();

@@ -16,8 +16,8 @@
 //!
 //! The report carries the paper-facing metrics (cache hit ratio, p50/
 //! p99/max resolution latency) plus the scheduler counters threaded out
-//! of `netsim::stats` (events executed, peak pending, wheel cascades) so
-//! `bench_city` can derive events/sec without ad-hoc instrumentation.
+//! of `netsim::stats` (events executed, peak pending, wheel cascades), so
+//! perfbench can derive events/sec without ad-hoc instrumentation.
 //! Deployments run as independent trials on the [`Runner`], so the
 //! report is byte-identical at any `--threads N`.
 
@@ -480,37 +480,47 @@ mod tests {
         }
     }
 
+    /// The unit tests' tiny world and the CI smoke's 20k-UE city.
+    fn cities() -> [CityConfig; 2] {
+        [tiny(), CityConfig::quick()]
+    }
+
     #[test]
     fn tiny_city_resolves_everything() {
-        let r = city_experiment(2020, &tiny());
-        assert_eq!(r.deployments.len(), 2);
-        for d in &r.deployments {
-            assert!(d.queries > 100, "{}: only {} queries", d.name, d.queries);
-            assert_eq!(d.answered, d.queries, "{}: unanswered queries", d.name);
-            assert_eq!(d.servfail, 0);
-            assert_eq!(d.lost, 0);
-            assert!(d.cache_hit_ratio > 0.0 && d.cache_hit_ratio < 1.0);
-            assert!(d.p99_ms > d.p50_ms);
-            assert!(d.sim_events > d.queries);
-            // Every UE holds a pending timer at once at some point.
-            assert!(d.max_pending_events >= 400);
+        for cfg in cities() {
+            let r = city_experiment(2020, &cfg);
+            assert_eq!(r.deployments.len(), 2);
+            for d in &r.deployments {
+                assert!(d.queries > 100, "{}: only {} queries", d.name, d.queries);
+                assert_eq!(d.answered, d.queries, "{}: unanswered queries", d.name);
+                assert_eq!(d.servfail, 0);
+                assert_eq!(d.lost, 0);
+                assert!(d.cache_hit_ratio > 0.0 && d.cache_hit_ratio < 1.0);
+                assert!(d.p99_ms > d.p50_ms);
+                assert!(d.sim_events > d.queries);
+                // Every UE holds a pending timer at once at some point.
+                assert!(d.max_pending_events >= u64::from(cfg.ues));
+            }
         }
     }
 
     #[test]
     fn mec_beats_cloud_on_latency() {
-        let r = city_experiment(2020, &tiny());
-        let mec = &r.deployments[0];
-        let cloud = &r.deployments[1];
-        assert_eq!(mec.name, "mec-ldns");
-        assert_eq!(cloud.name, "cloud-resolver");
-        assert!(
-            mec.p50_ms < cloud.p50_ms,
-            "MEC p50 {} !< cloud p50 {}",
-            mec.p50_ms,
-            cloud.p50_ms
-        );
-        assert!(mec.p99_ms < cloud.p99_ms);
+        for cfg in cities() {
+            let r = city_experiment(2020, &cfg);
+            let mec = &r.deployments[0];
+            let cloud = &r.deployments[1];
+            assert_eq!(mec.name, "mec-ldns");
+            assert_eq!(cloud.name, "cloud-resolver");
+            assert!(
+                mec.p50_ms < cloud.p50_ms,
+                "{} UEs: MEC p50 {} !< cloud p50 {}",
+                cfg.ues,
+                mec.p50_ms,
+                cloud.p50_ms
+            );
+            assert!(mec.p99_ms < cloud.p99_ms, "{} UEs: MEC p99 !< cloud p99", cfg.ues);
+        }
     }
 
     #[test]

@@ -36,6 +36,9 @@
 //! * [`telemetry`] — serializable per-trial artifacts harvested from the
 //!   shared `netsim::Telemetry` store: counters, histograms and the
 //!   trace-vs-tap wireless-split cross-check.
+//!
+//! The crate's `repro` binary (`src/bin/repro.rs`) prints every table
+//! and figure from these modules.
 
 pub mod city;
 pub mod deployments;

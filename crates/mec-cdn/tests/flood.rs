@@ -1,4 +1,5 @@
-//! Memory stays bounded under a random-qname flood.
+//! Memory stays bounded under a random-qname flood, and the served
+//! path and the simulator allocate exactly as often as pinned here.
 //!
 //! The paper's §3 MEC resolver "ignores queries not related to
 //! MEC-CDN"; ignoring one must not cost memory that is never freed. This
@@ -10,11 +11,16 @@
 //! the chain turns away, and unique names under the hosted zone, which
 //! are forwarded to the C-DNS and churn the L-DNS cache. No stub opens a
 //! trace here, so neither leaves a breadcrumb behind.
+//!
+//! The allocation counts are pinned exactly, so they can only go down:
+//! a change that lowers one updates its pin. Counts do not depend on
+//! the build profile.
 
 use cdn_sim::{MultiCdnRouter, PoolChoice, ServeTopology};
 use dns_server::{DnsCache, Plugin, PluginDecision, QueryCtx};
-use dns_wire::{Message, Name, RData, Record, RrClass, RrType};
-use netsim::SimTime;
+use dns_wire::{Message, Name, Opt, RData, Record, RrClass, RrType};
+use mec_cdn::{city_experiment, CityConfig};
+use netsim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr};
@@ -164,4 +170,97 @@ fn never_seen_names_are_turned_away_without_allocating() {
         0,
         "a miss on a never-seen name allocated"
     );
+}
+
+/// Allocations `f` makes on this thread, with its result.
+///
+/// A pin holds only while no measured call is the process's first to
+/// free a cache slot: that call also allocates the cache's shared empty
+/// record set, once per process, on whichever thread gets there first.
+/// None of the calls pinned here frees a slot.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocs();
+    let out = f();
+    (out, allocs() - before)
+}
+
+/// The query a stub sends for the `k`-th content name: EDNS on, as
+/// perfbench's serving workloads send it.
+fn content_query(topo: &ServeTopology, id: u16, k: usize) -> Vec<u8> {
+    let mut query = Message::query(id, topo.content_name(k), RrType::A);
+    query.edns = Some(Opt::default());
+    query.encode().expect("a content query encodes")
+}
+
+/// Decode, resolve and `encode_bounded(1232)` allocations of one query
+/// through `engine`.
+fn served_allocs(engine: &mut dns_server::ServeEngine, bytes: &[u8]) -> (u64, u64, u64) {
+    let (query, decode) = allocs_in(|| Message::decode(bytes).expect("query decodes"));
+    let (response, resolve) = allocs_in(|| engine.resolve(SimTime::ZERO, CLIENT, 5353, &query));
+    let response = response.expect("the engine answers a content query");
+    let (_, encode) = allocs_in(|| response.encode_bounded(1232).expect("response encodes"));
+    (decode, resolve, encode)
+}
+
+#[test]
+fn a_served_cached_hit_allocates_2_4_6() {
+    let topo = ServeTopology::default();
+    let mut engine = topo.engine();
+    let bytes = content_query(&topo, 7, 0);
+    served_allocs(&mut engine, &bytes);
+    assert_eq!(
+        served_allocs(&mut engine, &bytes),
+        (2, 4, 6),
+        "decode / resolve / encode allocations of a cached hit"
+    );
+}
+
+#[test]
+fn a_miss_resolve_allocates_13_after_the_first_23() {
+    let topo = ServeTopology::default();
+    let mut engine = topo.engine();
+    let (_, first, _) = served_allocs(&mut engine, &content_query(&topo, 1, 0));
+    let (_, later, _) = served_allocs(&mut engine, &content_query(&topo, 2, 1));
+    assert_eq!((first, later), (23, 13), "resolve allocations of a miss");
+}
+
+#[test]
+fn a_warm_cache_get_allocates_nothing() {
+    let names: Vec<Name> = (0..1000)
+        .map(|i| Name::parse(&format!("host-{i}.pool.mycdn.ciab.test")).expect("name parses"))
+        .collect();
+    let mut cache = DnsCache::new(2048);
+    for name in &names {
+        let record = Record::new(name.clone(), RrClass::In, 300, RData::A(CLIENT_V4));
+        cache.insert(name, RrType::A, vec![record], SimTime::ZERO);
+    }
+    let now = SimTime::ZERO + SimDuration::from_secs(10);
+    let (hits, allocs) = allocs_in(|| {
+        names
+            .iter()
+            .filter(|name| cache.get(name, RrType::A, now).is_some())
+            .count()
+    });
+    assert_eq!(hits, names.len());
+    assert_eq!(allocs, 0, "a warm DnsCache::get allocated");
+}
+
+/// The city unit tests' small world: 400 UEs behind 4 eNBs.
+fn tiny_city() -> CityConfig {
+    CityConfig {
+        ues: 400,
+        enbs: 4,
+        catalog: 200,
+        alpha: 1.0,
+        peak_interarrival: SimDuration::from_millis(800),
+        window: SimDuration::from_secs(4),
+        cache_entries: 256,
+    }
+}
+
+#[test]
+fn a_tiny_city_run_allocates_76_311_times_over_19_136_events() {
+    let (report, allocs) = allocs_in(|| city_experiment(2020, &tiny_city()));
+    let events: u64 = report.deployments.iter().map(|d| d.sim_events).sum();
+    assert_eq!((allocs, events), (76_311, 19_136), "(allocations, events)");
 }

@@ -12,11 +12,10 @@
 //! ```
 
 use mecdnsd::{loadgen, serve, LoadgenConfig, ServeConfig};
-use std::net::SocketAddr;
 use std::time::Duration;
 
 const USAGE: &str = "usage: mecdnsd <serve|loadgen|smoke> [options]
-  serve    --bind IP --port N --shards N [--shared-socket]
+  serve    [--bind IP] [--port N] [--shards N] [--shared-socket]
            [--duration SECS] [--stats]
   loadgen  --target ADDR [--target ADDR ...] [--queries N] [--clients N]
            [--names N] [--alpha F] [--seed N] [--timeout-ms N] [--json]
@@ -29,57 +28,87 @@ fn main() {
     std::process::exit(run(&args));
 }
 
+/// Parses the whole command line before anything binds: an unknown
+/// subcommand or flag, a stray argument, or a missing or malformed flag
+/// value exits 2 with the usage on stderr.
 fn run(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("smoke") => cmd_smoke(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            2
+    let Some((cmd, args)) = args.split_first() else {
+        eprintln!("{USAGE}");
+        return 2;
+    };
+    let outcome = match cmd.as_str() {
+        "serve" => serve_args(args).map(|(config, secs, stats)| cmd_serve(config, secs, stats)),
+        "loadgen" => loadgen_args(args).map(|(config, json)| cmd_loadgen(&config, json)),
+        "smoke" => smoke_args(args).map(|(serve, load)| cmd_smoke(serve, load)),
+        _ => Err(format!("unknown subcommand {cmd:?}")),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("mecdnsd {cmd}: {e}");
+        eprintln!("{USAGE}");
+        2
+    })
+}
+
+/// One subcommand's flags, in command-line order; a switch has no value.
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    /// Reads `args` against the subcommand's value flags and switches.
+    fn parse(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut flags = Vec::new();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if switches.contains(&arg) {
+                flags.push((arg, None));
+            } else if values.contains(&arg) {
+                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                flags.push((arg, Some(value)));
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag {arg}"));
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
         }
+        Ok(Flags(flags))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|&(f, _)| f == flag)
+    }
+
+    /// Every value given for `flag`, parsed.
+    fn all<T: std::str::FromStr>(&self, flag: &str) -> Result<Vec<T>, String> {
+        let raws = self.0.iter().filter(|&&(f, _)| f == flag).filter_map(|&(_, v)| v);
+        raws.map(|raw| raw.parse().map_err(|_| format!("{flag}: cannot parse {raw:?}")))
+            .collect()
+    }
+
+    /// The first value given for `flag`, parsed; `default` when absent.
+    fn value<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        Ok(self.all(flag)?.into_iter().next().unwrap_or(default))
     }
 }
 
-/// Pulls the value after `flag` out of `args`, parsed; `None` when the
-/// flag is absent, `Err` message when present but unparseable.
-fn opt_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
+/// `serve`'s configuration, run time in seconds (0 = forever) and
+/// whether to print stats at the end.
+fn serve_args(args: &[String]) -> Result<(ServeConfig, u64, bool), String> {
+    let flags = Flags::parse(
+        args,
+        &["--bind", "--port", "--shards", "--duration"],
+        &["--shared-socket", "--stats"],
+    )?;
+    let d = ServeConfig::default();
+    let config = ServeConfig {
+        bind: flags.value("--bind", d.bind)?,
+        port: flags.value("--port", d.port)?,
+        shards: flags.value("--shards", d.shards)?,
+        shared_socket: flags.has("--shared-socket"),
+        ..d
     };
-    let Some(raw) = args.get(pos + 1) else {
-        return Err(format!("{flag} needs a value"));
-    };
-    raw.parse::<T>()
-        .map(Some)
-        .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+    Ok((config, flags.value("--duration", 0)?, flags.has("--stats")))
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-fn cmd_serve(args: &[String]) -> i32 {
-    let mut config = ServeConfig::default();
-    let duration_secs = match (|| -> Result<u64, String> {
-        if let Some(bind) = opt_value(args, "--bind")? {
-            config.bind = bind;
-        }
-        if let Some(port) = opt_value(args, "--port")? {
-            config.port = port;
-        }
-        if let Some(shards) = opt_value(args, "--shards")? {
-            config.shards = shards;
-        }
-        config.shared_socket = has_flag(args, "--shared-socket");
-        Ok(opt_value(args, "--duration")?.unwrap_or(0))
-    })() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("mecdnsd serve: {e}");
-            return 2;
-        }
-    };
+fn cmd_serve(config: ServeConfig, duration_secs: u64, stats: bool) -> i32 {
     let handle = match serve::spawn(config) {
         Ok(h) => h,
         Err(e) => {
@@ -99,57 +128,50 @@ fn cmd_serve(args: &[String]) -> i32 {
     std::thread::sleep(Duration::from_secs(duration_secs));
     let elapsed_ns = handle.elapsed_ns();
     let report = handle.stop();
-    if has_flag(args, "--stats") {
+    if stats {
         println!("{}", report.stats_line(elapsed_ns));
     }
     i32::from(report.crashed_shards > 0)
 }
 
-fn cmd_loadgen(args: &[String]) -> i32 {
-    let mut config = LoadgenConfig::default();
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--target" {
-            match args.get(i + 1).map(|v| v.parse::<SocketAddr>()) {
-                Some(Ok(addr)) => config.targets.push(addr),
-                _ => {
-                    eprintln!("mecdnsd loadgen: --target needs host:port");
-                    return 2;
-                }
-            }
-        }
-    }
-    if let Err(e) = (|| -> Result<(), String> {
-        if let Some(v) = opt_value(args, "--queries")? {
-            config.queries = v;
-        }
-        if let Some(v) = opt_value(args, "--clients")? {
-            config.clients = v;
-        }
-        if let Some(v) = opt_value(args, "--names")? {
-            config.names = v;
-        }
-        if let Some(v) = opt_value(args, "--alpha")? {
-            config.alpha = v;
-        }
-        if let Some(v) = opt_value(args, "--seed")? {
-            config.seed = v;
-        }
-        if let Some(v) = opt_value(args, "--timeout-ms")? {
-            config.timeout_ms = v;
-        }
-        Ok(())
-    })() {
-        eprintln!("mecdnsd loadgen: {e}");
-        return 2;
-    }
-    let report = match loadgen::run(&config) {
+/// `loadgen`'s configuration and whether to print JSON.
+fn loadgen_args(args: &[String]) -> Result<(LoadgenConfig, bool), String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--target",
+            "--queries",
+            "--clients",
+            "--names",
+            "--alpha",
+            "--seed",
+            "--timeout-ms",
+        ],
+        &["--json"],
+    )?;
+    let d = LoadgenConfig::default();
+    let config = LoadgenConfig {
+        targets: flags.all("--target")?,
+        queries: flags.value("--queries", d.queries)?,
+        clients: flags.value("--clients", d.clients)?,
+        names: flags.value("--names", d.names)?,
+        alpha: flags.value("--alpha", d.alpha)?,
+        seed: flags.value("--seed", d.seed)?,
+        timeout_ms: flags.value("--timeout-ms", d.timeout_ms)?,
+        ..d
+    };
+    Ok((config, flags.has("--json")))
+}
+
+fn cmd_loadgen(config: &LoadgenConfig, json: bool) -> i32 {
+    let report = match loadgen::run(config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mecdnsd loadgen: {e}");
             return 1;
         }
     };
-    if has_flag(args, "--json") {
+    if json {
         println!("{}", loadgen_json(&report));
     } else {
         println!(
@@ -186,36 +208,28 @@ fn loadgen_json(report: &mecdnsd::LoadReport) -> String {
     )
 }
 
+/// `smoke`'s fleet (2 shards by default) and load (10 000 queries from
+/// 8 clients by default); the targets are filled in once it binds.
+fn smoke_args(args: &[String]) -> Result<(ServeConfig, LoadgenConfig), String> {
+    let flags = Flags::parse(args, &["--queries", "--shards", "--clients"], &[])?;
+    let serve = ServeConfig {
+        shards: flags.value("--shards", 2)?,
+        ..ServeConfig::default()
+    };
+    let load = LoadgenConfig {
+        queries: flags.value("--queries", 10_000)?,
+        clients: flags.value("--clients", 8)?,
+        ..LoadgenConfig::default()
+    };
+    Ok((serve, load))
+}
+
 /// In-process server + load generator over loopback, with hard
 /// assertions that hold on any host: the CI smoke gate. Every datagram
 /// parses, every query is answered NOERROR, nothing truncates, and
 /// throughput is nonzero.
-fn cmd_smoke(args: &[String]) -> i32 {
-    let queries = match opt_value(args, "--queries") {
-        Ok(v) => v.unwrap_or(10_000),
-        Err(e) => {
-            eprintln!("mecdnsd smoke: {e}");
-            return 2;
-        }
-    };
-    let shards = match opt_value(args, "--shards") {
-        Ok(v) => v.unwrap_or(2),
-        Err(e) => {
-            eprintln!("mecdnsd smoke: {e}");
-            return 2;
-        }
-    };
-    let clients = match opt_value(args, "--clients") {
-        Ok(v) => v.unwrap_or(8),
-        Err(e) => {
-            eprintln!("mecdnsd smoke: {e}");
-            return 2;
-        }
-    };
-    let handle = match serve::spawn(ServeConfig {
-        shards,
-        ..ServeConfig::default()
-    }) {
+fn cmd_smoke(serve: ServeConfig, load: LoadgenConfig) -> i32 {
+    let handle = match serve::spawn(serve) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("mecdnsd smoke: bind failed: {e}");
@@ -224,9 +238,7 @@ fn cmd_smoke(args: &[String]) -> i32 {
     };
     let load = LoadgenConfig {
         targets: handle.local_addrs().to_vec(),
-        queries,
-        clients,
-        ..LoadgenConfig::default()
+        ..load
     };
     let client_report = match loadgen::run(&load) {
         Ok(r) => r,

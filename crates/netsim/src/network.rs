@@ -469,8 +469,8 @@ impl Network {
     }
 
     /// Scheduler counters accumulated so far (depth high-water mark,
-    /// cascades, executed events) — what `city` folds into
-    /// `BENCH_city.json` without ad-hoc instrumentation.
+    /// cascades, executed events) — what `city` folds into its report
+    /// without ad-hoc instrumentation.
     pub fn sched_stats(&self) -> SchedStats {
         *self.wheel.stats()
     }

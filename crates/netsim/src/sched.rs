@@ -723,4 +723,101 @@ mod tests {
         assert_eq!(w.peek_time(), Some(far));
         assert_eq!(w.pop(), Some((far, 'z')));
     }
+
+    /// Timer delays in the city's scheduling mix: mostly radio- and
+    /// WAN-scale timers (1 µs–100 ms) and a tail of long arrival timers
+    /// (up to ~4 s) that lands in the wheel's upper levels.
+    fn churn_delay(rng: &mut u64) -> SimDuration {
+        *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let r = z ^ (z >> 31);
+        SimDuration::from_nanos(match r % 8 {
+            0 => 1_000 + r % 1_000_000,
+            1..=5 => 1_000_000 + r % 100_000_000,
+            _ => 100_000_000 + r % 4_000_000_000,
+        })
+    }
+
+    /// A scheduler under steady-state churn: pop the earliest timer,
+    /// push its replacement.
+    trait Churn {
+        fn push(&mut self, time: SimTime, value: u64);
+        fn take(&mut self) -> (SimTime, u64);
+    }
+
+    impl Churn for TimerWheel<u64> {
+        fn push(&mut self, time: SimTime, value: u64) {
+            self.schedule(time, value);
+        }
+        fn take(&mut self) -> (SimTime, u64) {
+            self.pop().expect("wheel stays full")
+        }
+    }
+
+    /// The pre-wheel scheduler's ordering core: a bare min-heap on
+    /// `(time, seq, payload)`, without [`RefHeap`]'s cancellation map.
+    #[derive(Default)]
+    struct BareHeap {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+        seq: u64,
+    }
+
+    impl Churn for BareHeap {
+        fn push(&mut self, time: SimTime, value: u64) {
+            self.heap.push(Reverse((time, self.seq, value)));
+            self.seq += 1;
+        }
+        fn take(&mut self) -> (SimTime, u64) {
+            let Reverse((time, _, value)) = self.heap.pop().expect("heap stays full");
+            (time, value)
+        }
+    }
+
+    /// Nanoseconds per pop+push pair over `ops` pairs against `pending`
+    /// pre-filled timers. The seed depends only on `pending`, so both
+    /// schedulers see the same workload.
+    fn churn_ns<S: Churn>(mut sched: S, pending: u64, ops: u64) -> f64 {
+        let mut rng = 2020 ^ pending;
+        for i in 0..pending {
+            sched.push(SimTime::ZERO + churn_delay(&mut rng), i);
+        }
+        let t0 = std::time::Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..ops {
+            let (now, v) = sched.take();
+            acc = acc.wrapping_add(v);
+            sched.push(now + churn_delay(&mut rng), v);
+        }
+        let ns = t0.elapsed().as_nanos() as f64;
+        std::hint::black_box(acc);
+        ns / ops as f64
+    }
+
+    /// The wheel beats a bare binary heap once the pending set is deep
+    /// (100k timers or more); at 10k it is reported, not gated. Both
+    /// run in one process, so the bound holds on any host; it is timed
+    /// only in release builds (`cargo test --release timing_gate`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing gate: run with --release")]
+    fn timing_gate_wheel_beats_a_bare_heap_at_depth() {
+        const OPS: u64 = 200_000;
+        for pending in [10_000, 100_000] {
+            // A warm-up pass each, so neither side pays first-touch page
+            // faults in the measured one.
+            churn_ns(BareHeap::default(), pending, OPS / 4);
+            churn_ns(TimerWheel::new(), pending, OPS / 4);
+            let heap = churn_ns(BareHeap::default(), pending, OPS);
+            let wheel = churn_ns(TimerWheel::new(), pending, OPS);
+            eprintln!(
+                "{pending} pending: heap {heap:.1} ns/op, wheel {wheel:.1} ns/op ({:.2}x)",
+                heap / wheel
+            );
+            assert!(
+                pending < 100_000 || heap > wheel,
+                "wheel loses to heap at {pending} pending ({wheel:.1} vs {heap:.1} ns/op)"
+            );
+        }
+    }
 }

@@ -101,9 +101,9 @@ impl Samples {
 ///
 /// Deterministic by construction — every counter is a function of the
 /// simulated event stream, not of wall time — so experiments can fold
-/// them into reproducible reports (`city` publishes them in
-/// `BENCH_city.json`). Wall-clock events/sec is *derived* outside the
-/// simulator by the bench binaries (executed ÷ measured seconds).
+/// them into reproducible reports (`repro city` publishes them).
+/// Wall-clock events/sec is *derived* outside the simulator, by
+/// perfbench (executed ÷ measured seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Total events ever scheduled.
